@@ -38,7 +38,7 @@ int main() {
         core::GnnPredictor p(pc);
         p.train(ds);
         params = p.num_parameters();
-        const auto m = p.evaluate(ds, ds.test).pooled();
+        const auto m = p.evaluate(ds.test).pooled();
         r2 += m.r2;
         mae += m.mae;
         mape += m.mape;

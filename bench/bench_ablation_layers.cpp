@@ -29,7 +29,7 @@ int main() {
       bench::Timer t;
       p.train(ds);
       secs += t.seconds();
-      const auto m = p.evaluate(ds, ds.test).pooled();
+      const auto m = p.evaluate(ds.test).pooled();
       r2 += m.r2;
       mae += m.mae;
       mape += m.mape;

@@ -40,7 +40,7 @@ int main() {
   };
   std::map<std::size_t, Pooled> by_type;
   for (const auto& s : ds.test) {
-    const auto record = predictor.attention_analysis(ds, s);
+    const auto record = predictor.attention_analysis(s);
     if (record.layers.empty()) continue;
     const auto& last = record.layers.back();
     for (const auto& [type_index, entry] : last) {

@@ -35,7 +35,7 @@ int main() {
         p.train(ds);
         secs += t.seconds();
         params = p.num_parameters();
-        const auto m = p.evaluate(ds, ds.test).pooled();
+        const auto m = p.evaluate(ds.test).pooled();
         r2 += m.r2;
         mae += m.mae;
         mape += m.mape;

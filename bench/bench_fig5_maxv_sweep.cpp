@@ -40,10 +40,10 @@ int main() {
   for (const auto& s : ds.test) {
     const auto& tv = s.target_values(dataset::TargetKind::kCap);
     truth.insert(truth.end(), tv.begin(), tv.end());
-    const auto e = ensemble.predict(ds, s);
+    const auto e = ensemble.predict(s);
     combined.insert(combined.end(), e.begin(), e.end());
     for (std::size_t m = 0; m < single.size(); ++m) {
-      const auto p = ensemble.model(m).predict_all(ds, s);
+      const auto p = ensemble.model(m).predict_all(s);
       single[m].insert(single[m].end(), p.begin(), p.end());
     }
   }

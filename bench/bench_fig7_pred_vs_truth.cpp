@@ -71,7 +71,7 @@ int main() {
     for (const auto& s : ds.test) {
       const auto& t = s.target_values(dataset::TargetKind::kCap);
       truth.insert(truth.end(), t.begin(), t.end());
-      const auto p = ens.predict(ds, s);
+      const auto p = ens.predict(s);
       pred.insert(pred.end(), p.begin(), p.end());
     }
     report("CAP", truth, pred);
@@ -89,7 +89,7 @@ int main() {
     p.train(ds);
     std::vector<float> truth, pred;
     for (const auto& s : ds.test) {
-      const auto all = p.predict_all(ds, s);
+      const auto all = p.predict_all(s);
       std::size_t k = 0;
       for (std::size_t slot = 0; slot < dataset::target_node_types(target).size(); ++slot) {
         const auto& t = s.target_values(target, slot);

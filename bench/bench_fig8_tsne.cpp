@@ -35,7 +35,7 @@ int main() {
   util::Table table({"circuit", "#nets", "tsne points", "kNN R2 (2-D tsne)",
                      "kNN R2 (32-D emb)", "csv"});
   for (const auto& s : ds.test) {
-    const nn::Matrix emb = predictor.embeddings(ds, s, graph::NodeType::kNet);
+    const nn::Matrix emb = predictor.embeddings(s, graph::NodeType::kNet);
     const auto& truth = s.target_values(dataset::TargetKind::kCap);
 
     // Cap the point count so the exact O(N^2) t-SNE stays fast.

@@ -103,13 +103,13 @@ int main() {
 
     const auto pg_preds = collect_device_preds(
         [&](dataset::TargetKind t, const dataset::Sample& smp) {
-          return pg_dev[t]->predict_all(ds, smp);
+          return pg_dev[t]->predict_all(smp);
         },
         s);
     const auto pg_ann = sim::make_predicted_annotation(
-        s.netlist, s.graph, tech, "ParaGraph", pg_cap.predict(ds, s), pg_preds.sa, pg_preds.da,
+        s.netlist, s.graph, tech, "ParaGraph", pg_cap.predict(s), pg_preds.sa, pg_preds.da,
         pg_preds.lde1, pg_preds.lde2,
-        pg_dev[dataset::TargetKind::kRes]->predict_all(ds, s));
+        pg_dev[dataset::TargetKind::kRes]->predict_all(s));
 
     const auto xgb_preds = collect_device_preds(
         [&](dataset::TargetKind t, const dataset::Sample& smp) {

@@ -33,10 +33,10 @@ int main() {
   for (const auto& s : ds.test) {
     const auto& t = s.target_values(dataset::TargetKind::kCap);
     truth.insert(truth.end(), t.begin(), t.end());
-    const auto ens = ensemble.predict(ds, s);
+    const auto ens = ensemble.predict(s);
     combined.insert(combined.end(), ens.begin(), ens.end());
     for (std::size_t m = 0; m < single.size(); ++m) {
-      const auto p = ensemble.model(m).predict_all(ds, s);
+      const auto p = ensemble.model(m).predict_all(s);
       single[m].insert(single[m].end(), p.begin(), p.end());
     }
   }

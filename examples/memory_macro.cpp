@@ -60,7 +60,7 @@ int main() {
       per_type.push_back(dataset::extract_targets(nl, sample.graph, nt, t));
   }
   sample.netlist = nl;
-  const auto preds = predictor.predict_all(ds, sample);
+  const auto preds = predictor.predict_all(sample);
 
   // Rank nets by predicted capacitance; the word/bit lines should surface.
   const auto& origins = sample.graph.origins(graph::NodeType::kNet);

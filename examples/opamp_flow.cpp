@@ -66,7 +66,7 @@ int main() {
       per_type.push_back(dataset::extract_targets(nl, sample.graph, nt, t));
   }
   sample.netlist = nl;
-  const auto pred_caps = predictor.predict_all(ds, sample);
+  const auto pred_caps = predictor.predict_all(sample);
 
   // Annotation sources.
   const auto truth = sim::ground_truth_annotation(nl, tech);

@@ -75,7 +75,7 @@ Mpb    y   b   vdd vdd pmos_lvt L=16n NFIN=3 NF=1
   }
   sample.netlist = nl;
 
-  const auto preds = predictor.predict_all(ds, sample);
+  const auto preds = predictor.predict_all(sample);
   std::printf("\n%-8s %14s %14s\n", "net", "predicted", "post-layout");
   const auto& origins = sample.graph.origins(graph::NodeType::kNet);
   for (std::size_t i = 0; i < origins.size(); ++i) {

@@ -54,10 +54,10 @@ void CapEnsemble::train(const SuiteDataset& ds) {
   }
 }
 
-std::vector<float> CapEnsemble::predict(const SuiteDataset& ds, const Sample& sample) const {
+std::vector<float> CapEnsemble::predict(const Sample& sample) const {
   // All members share a model kind, so one plan serves every member.
   const gnn::GraphPlan plan = gnn::GraphPlan::build(sample.graph, models_[0]->needs_homo());
-  return predict_with_plan(ds, sample, plan);
+  return predict_with_plan(sample, plan);
 }
 
 template <typename PredictMemberFn>
@@ -92,17 +92,16 @@ std::vector<float> CapEnsemble::cascade(const PredictMemberFn& predict_member,
   return p;
 }
 
-std::vector<float> CapEnsemble::predict_with_plan(const SuiteDataset& ds, const Sample& sample,
+std::vector<float> CapEnsemble::predict_with_plan(const Sample& sample,
                                                   const gnn::GraphPlan& plan,
                                                   MemberAttribution* attribution) const {
-  return cascade([&](std::size_t i) { return models_[i]->predict_all(ds, sample, plan); },
+  return cascade([&](std::size_t i) { return models_[i]->predict_all(sample, plan); },
                  attribution);
 }
 
-std::vector<float> CapEnsemble::predict_with_cache(const SuiteDataset& ds, const Sample& sample,
+std::vector<float> CapEnsemble::predict_with_cache(const Sample& sample,
                                                    gnn::PlanCache& cache) const {
-  return cascade([&](std::size_t i) { return models_[i]->predict_all(ds, sample, cache); },
-                 nullptr);
+  return cascade([&](std::size_t i) { return models_[i]->predict_all(sample, cache); }, nullptr);
 }
 
 void CapEnsemble::save(const std::string& path) const {
@@ -183,7 +182,7 @@ CapEnsemble CapEnsemble::load(const std::string& path) {
   return e;
 }
 
-EvalResult CapEnsemble::evaluate(const SuiteDataset& ds, const std::vector<Sample>& samples,
+EvalResult CapEnsemble::evaluate(const std::vector<Sample>& samples,
                                  std::vector<MemberAttribution>* attributions) const {
   EvalResult result;
   result.circuits.resize(samples.size());
@@ -198,8 +197,8 @@ EvalResult CapEnsemble::evaluate(const SuiteDataset& ds, const std::vector<Sampl
       CircuitPrediction cp;
       cp.name = s.name;
       cp.truth = s.target_values(dataset::TargetKind::kCap);
-      cp.pred = predict_with_plan(ds, s, plan,
-                                  attributions != nullptr ? &(*attributions)[si] : nullptr);
+      cp.pred =
+          predict_with_plan(s, plan, attributions != nullptr ? &(*attributions)[si] : nullptr);
       result.circuits[si] = std::move(cp);
     }
   });

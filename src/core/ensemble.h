@@ -48,31 +48,38 @@ class CapEnsemble {
   void train(const dataset::SuiteDataset& ds);
 
   // Algorithm 2: per-net capacitance prediction [fF] for every net node.
-  std::vector<float> predict(const dataset::SuiteDataset& ds,
-                             const dataset::Sample& sample) const;
+  // Each member applies its own normaliser (members may differ).
+  std::vector<float> predict(const dataset::Sample& sample) const;
 
   // Same, reusing a caller-built GraphPlan shared across the K members.
   // `attribution`, when non-null, receives the Algorithm 2 winner per net
   // and the adjacent-member boundary statistics.
-  std::vector<float> predict_with_plan(const dataset::SuiteDataset& ds,
-                                       const dataset::Sample& sample, const gnn::GraphPlan& plan,
+  std::vector<float> predict_with_plan(const dataset::Sample& sample, const gnn::GraphPlan& plan,
                                        MemberAttribution* attribution = nullptr) const;
+
+  // kept for e2ebench; delete when the harness moves
+  std::vector<float> predict(const dataset::SuiteDataset&, const dataset::Sample& sample) const {
+    return predict(sample);
+  }
+  // kept for e2ebench; delete when the harness moves
+  std::vector<float> predict_with_plan(const dataset::SuiteDataset&, const dataset::Sample& sample,
+                                       const gnn::GraphPlan& plan) const {
+    return predict_with_plan(sample, plan);
+  }
 
   // Hierarchy-aware variant for long-lived callers (the serve worker):
   // each member runs through the shared PlanCache, so repeated subckt
   // templates hit memoized plans/embeddings across requests. Results are
   // bit-identical to predict(); samples without cacheable hierarchy fall
   // back to the plain per-member path inside GnnPredictor.
-  std::vector<float> predict_with_cache(const dataset::SuiteDataset& ds,
-                                        const dataset::Sample& sample,
+  std::vector<float> predict_with_cache(const dataset::Sample& sample,
                                         gnn::PlanCache& cache) const;
 
   // Evaluates over the full truth range (no max_v filtering).
   // `attributions`, when non-null, receives one MemberAttribution per
   // sample (same order) — capture is a few comparisons per net, so the
   // quality-accounting path costs essentially nothing over the plain one.
-  EvalResult evaluate(const dataset::SuiteDataset& ds,
-                      const std::vector<dataset::Sample>& samples,
+  EvalResult evaluate(const std::vector<dataset::Sample>& samples,
                       std::vector<MemberAttribution>* attributions = nullptr) const;
 
   std::size_t num_models() const { return models_.size(); }

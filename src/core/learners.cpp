@@ -173,7 +173,7 @@ EvalResult train_and_evaluate(const LearnerConfig& config, const SuiteDataset& d
   pc.num_layers = config.num_layers;
   GnnPredictor predictor(pc);
   predictor.train(ds);
-  return predictor.evaluate(ds, ds.test);
+  return predictor.evaluate(ds.test);
 }
 
 }  // namespace paragraph::core

@@ -145,15 +145,15 @@ bool GnnPredictor::needs_homo() const {
   }
 }
 
-GraphBatch GnnPredictor::make_batch(const dataset::FeatureNormalizer& norm, const Sample& sample,
+GraphBatch GnnPredictor::make_batch(const graph::HeteroGraph& g,
                                     const gnn::GraphPlan* plan) const {
   GraphBatch b;
-  b.graph = &sample.graph;
+  b.graph = &g;
   b.plan = plan;
   for (std::size_t t = 0; t < graph::kNumNodeTypes; ++t) {
     const auto nt = static_cast<NodeType>(t);
-    if (sample.graph.num_nodes(nt) == 0) continue;
-    b.features[t] = Tensor(norm.apply(sample.graph, nt));
+    if (g.num_nodes(nt) == 0) continue;
+    b.features[t] = Tensor(normalizer_.apply(g, nt));
   }
   return b;
 }
@@ -169,13 +169,12 @@ struct GnnPredictor::Prepared {
 };
 
 std::shared_ptr<const GnnPredictor::Prepared> GnnPredictor::prepare_sample(
-    const dataset::FeatureNormalizer& norm, const Sample& s,
-    std::shared_ptr<const Sample> owned) const {
+    const Sample& s, std::shared_ptr<const Sample> owned) const {
   const auto& types = dataset::target_node_types(config_.target);
   auto p = std::make_shared<Prepared>();
   p->owned = std::move(owned);
   p->plan = std::make_unique<gnn::GraphPlan>(gnn::GraphPlan::build(s.graph, needs_homo()));
-  p->batch = make_batch(norm, s, p->plan.get());
+  p->batch = make_batch(s.graph, p->plan.get());
   bool any = false;
   for (std::size_t slot = 0; slot < types.size(); ++slot) {
     const auto& raw = s.target_values(config_.target, slot);
@@ -191,15 +190,6 @@ std::shared_ptr<const GnnPredictor::Prepared> GnnPredictor::prepare_sample(
     if (!p->idx.back()->empty()) any = true;
   }
   return any ? p : nullptr;
-}
-
-Tensor GnnPredictor::forward_predictions(const GraphBatch& batch, std::size_t type_slot) const {
-  const auto& types = dataset::target_node_types(config_.target);
-  const NodeType nt = types.at(type_slot);
-  gnn::TypeTensors emb = embedding_->embed(batch);
-  const Tensor& z = emb[static_cast<std::size_t>(nt)];
-  if (!z.defined()) return Tensor();
-  return head_->forward(z);
 }
 
 namespace {
@@ -219,6 +209,7 @@ double global_grad_norm(const std::vector<Tensor>& params) {
 std::vector<double> GnnPredictor::train(const SuiteDataset& ds, const EpochCallback& on_epoch,
                                         const TrainOptions& options) {
   PARAGRAPH_TIMED_SCOPE("train");
+  normalizer_ = ds.normalizer;
 
   // Drift reference: what "inputs like the training set" looks like.
   // Persisted with the model (format v5) and compared against live
@@ -237,7 +228,7 @@ std::vector<double> GnnPredictor::train(const SuiteDataset& ds, const EpochCallb
   {
     PARAGRAPH_TIMED_SCOPE("prepare");
     for (const Sample& s : ds.train)
-      if (auto p = prepare_sample(ds.normalizer, s, nullptr)) prepared.push_back(std::move(p));
+      if (auto p = prepare_sample(s, nullptr)) prepared.push_back(std::move(p));
   }
   PreparedSource src;
   src.count = prepared.size();
@@ -248,6 +239,7 @@ std::vector<double> GnnPredictor::train(const SuiteDataset& ds, const EpochCallb
 std::vector<double> GnnPredictor::train(dataset::ShardStore& store, const EpochCallback& on_epoch,
                                         const TrainOptions& options) {
   PARAGRAPH_TIMED_SCOPE("train");
+  normalizer_ = store.normalizer();
   const std::size_t n = store.num_train();
   const auto& types = dataset::target_node_types(config_.target);
 
@@ -310,7 +302,7 @@ std::vector<double> GnnPredictor::train(dataset::ShardStore& store, const EpochC
       return it->second.p;
     }
     const std::shared_ptr<const Sample> s = store.train(eligible[k]);
-    auto p = prepare_sample(store.normalizer(), *s, s);
+    auto p = prepare_sample(*s, s);
     if (!p)
       throw std::logic_error("GnnPredictor::train: sample lost its in-range targets mid-run");
     const std::size_t bytes = dataset::ShardStore::sample_bytes(*s) * 2;
@@ -705,8 +697,7 @@ std::vector<double> GnnPredictor::train_impl(const PreparedSource& src,
   return epoch_losses;
 }
 
-EvalResult GnnPredictor::evaluate(const SuiteDataset& ds,
-                                  const std::vector<Sample>& samples) const {
+EvalResult GnnPredictor::evaluate(const std::vector<Sample>& samples) const {
   PARAGRAPH_TIMED_SCOPE("evaluate");
   EvalResult result;
   result.circuits.resize(samples.size());
@@ -715,31 +706,27 @@ EvalResult GnnPredictor::evaluate(const SuiteDataset& ds,
   // values — per-circuit kernels execute inline) identical to serial.
   runtime::parallel_for("eval.circuits", samples.size(), 1, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t si = lo; si < hi; ++si)
-      result.circuits[si] = evaluate_circuit(ds.normalizer, samples[si]);
+      result.circuits[si] = evaluate_circuit(samples[si]);
   });
   return result;
 }
 
-CircuitPrediction GnnPredictor::evaluate_circuit(const dataset::FeatureNormalizer& norm,
-                                                 const Sample& s) const {
-  const auto& types = dataset::target_node_types(config_.target);
-  const gnn::GraphPlan plan = gnn::GraphPlan::build(s.graph, needs_homo());
-  const GraphBatch batch = make_batch(norm, s, &plan);
+CircuitPrediction GnnPredictor::evaluate_circuit(const Sample& s) const {
+  // predict_all covers every node, slot by slot; keep the in-range ones.
+  const std::vector<float> all = predict_all(s);
   CircuitPrediction cp;
   cp.name = s.name;
-  gnn::TypeTensors emb = embedding_->embed(batch);
-  for (std::size_t slot = 0; slot < types.size(); ++slot) {
-    const Tensor& z = emb[static_cast<std::size_t>(types[slot])];
-    if (!z.defined()) continue;
-    const Tensor pred = head_->forward(z);
+  std::size_t base = 0;
+  for (std::size_t slot = 0; slot < dataset::target_node_types(config_.target).size(); ++slot) {
     const auto& raw = s.target_values(config_.target, slot);
     for (std::size_t i = 0; i < raw.size(); ++i) {
       if (!scaler_.in_range(raw[i])) continue;
       cp.truth.push_back(raw[i]);
-      cp.pred.push_back(scaler_.inverse(pred.value()(i, 0)));
+      cp.pred.push_back(all[base + i]);
       cp.type_slot.push_back(static_cast<std::int32_t>(slot));
       cp.node_index.push_back(static_cast<std::int32_t>(i));
     }
+    base += raw.size();
   }
   return cp;
 }
@@ -754,22 +741,21 @@ EvalResult GnnPredictor::evaluate(dataset::ShardStore& store, bool test_split) c
   // in-memory overload runs, so predictions match it bit for bit.
   for (std::size_t si = 0; si < n; ++si) {
     const std::shared_ptr<const Sample> sp = test_split ? store.test(si) : store.train(si);
-    result.circuits[si] = evaluate_circuit(store.normalizer(), *sp);
+    result.circuits[si] = evaluate_circuit(*sp);
   }
   return result;
 }
 
-std::vector<float> GnnPredictor::predict_all(const SuiteDataset& ds,
-                                             const Sample& sample) const {
+std::vector<float> GnnPredictor::predict_all(const Sample& sample) const {
   const gnn::GraphPlan plan = gnn::GraphPlan::build(sample.graph, needs_homo());
-  return predict_all(ds, sample, plan);
+  return predict_all(sample, plan);
 }
 
-std::vector<float> GnnPredictor::predict_all(const SuiteDataset& ds, const Sample& sample,
+std::vector<float> GnnPredictor::predict_all(const Sample& sample,
                                              const gnn::GraphPlan& plan) const {
   PARAGRAPH_TIMED_SCOPE("predict");
   const auto& types = dataset::target_node_types(config_.target);
-  const GraphBatch batch = make_batch(ds.normalizer, sample, &plan);
+  const GraphBatch batch = make_batch(sample.graph, &plan);
   gnn::TypeTensors emb = embedding_->embed(batch);
   std::vector<float> out;
   for (std::size_t slot = 0; slot < types.size(); ++slot) {
@@ -786,28 +772,19 @@ std::vector<float> GnnPredictor::predict_all(const SuiteDataset& ds, const Sampl
   return out;
 }
 
-std::vector<float> GnnPredictor::predict_all(const SuiteDataset& ds, const Sample& sample,
-                                             gnn::PlanCache& cache) const {
+std::vector<float> GnnPredictor::predict_all(const Sample& sample, gnn::PlanCache& cache) const {
   PARAGRAPH_TIMED_SCOPE("predict");
   std::array<nn::Matrix, graph::kNumNodeTypes> z;
   const auto embed_fn = [&](const graph::HeteroGraph& g,
                             const gnn::GraphPlan& plan) -> gnn::TypeTensors {
-    GraphBatch b;
-    b.graph = &g;
-    b.plan = &plan;
-    for (std::size_t t = 0; t < graph::kNumNodeTypes; ++t) {
-      const auto nt = static_cast<NodeType>(t);
-      if (g.num_nodes(nt) == 0) continue;
-      b.features[t] = Tensor(ds.normalizer.apply(g, nt));
-    }
-    return embedding_->embed(b);
+    return embedding_->embed(make_batch(g, &plan));
   };
   // Memoized embeddings depend on the weights AND the normalisation the
   // batch builder applies, so both feed the cache key.
-  const std::uint64_t key = model_key_ ^ (ds.normalizer.fingerprint() * 0x9e3779b97f4a7c15ULL);
+  const std::uint64_t key = model_key_ ^ (normalizer_.fingerprint() * 0x9e3779b97f4a7c15ULL);
   if (!cache.embed_hierarchical(sample.netlist, sample.graph, config_.num_layers, needs_homo(),
                                 key, embed_fn, &z))
-    return predict_all(ds, sample);
+    return predict_all(sample);
 
   const auto& types = dataset::target_node_types(config_.target);
   std::vector<float> out;
@@ -825,20 +802,16 @@ std::vector<float> GnnPredictor::predict_all(const SuiteDataset& ds, const Sampl
   return out;
 }
 
-nn::Matrix GnnPredictor::embeddings(const SuiteDataset& ds, const Sample& sample,
-                                    NodeType type) const {
+nn::Matrix GnnPredictor::embeddings(const Sample& sample, NodeType type) const {
   const gnn::GraphPlan plan = gnn::GraphPlan::build(sample.graph, needs_homo());
-  const GraphBatch batch = make_batch(ds.normalizer, sample, &plan);
-  gnn::TypeTensors emb = embedding_->embed(batch);
+  const gnn::TypeTensors emb = embedding_->embed(make_batch(sample.graph, &plan));
   const Tensor& z = emb[static_cast<std::size_t>(type)];
-  if (!z.defined()) return Matrix();
-  return z.value();
+  return z.defined() ? z.value() : Matrix();
 }
 
-gnn::AttentionRecord GnnPredictor::attention_analysis(const SuiteDataset& ds,
-                                                      const Sample& sample) const {
+gnn::AttentionRecord GnnPredictor::attention_analysis(const Sample& sample) const {
   const gnn::GraphPlan plan = gnn::GraphPlan::build(sample.graph, needs_homo());
-  GraphBatch batch = make_batch(ds.normalizer, sample, &plan);
+  GraphBatch batch = make_batch(sample.graph, &plan);
   gnn::AttentionRecord record;
   batch.attention_out = &record;
   embedding_->embed(batch);

@@ -47,9 +47,9 @@ struct PredictorConfig {
   // locks in the good optimum instead of bouncing out of it late.
   float lr_final_fraction = 0.02f;
   std::uint64_t seed = 1;
-  // Dataset-generation scale the model was trained against. Persisted by
-  // core/serialize so predict/evaluate can rebuild the exact normaliser
-  // statistics without the caller re-supplying --scale.
+  // Dataset-generation scale the model was trained against (metadata;
+  // evaluate/report default their test suite to it). Models saved before
+  // format v6 also rebuild their normaliser from (seed, scale) on load.
   double scale = 0.25;
   // Graph-level data parallelism: number of circuits whose forward/backward
   // run concurrently per optimiser step, with gradients merged in circuit
@@ -159,9 +159,9 @@ class GnnPredictor {
 
   const PredictorConfig& config() const { return config_; }
 
-  // Trains on ds.train; returns per-epoch mean losses (resumed runs:
-  // losses of the epochs this call ran). `on_epoch`, when set, fires
-  // after every epoch with that epoch's telemetry.
+  // Trains on ds.train, adopting ds.normalizer; returns per-epoch mean
+  // losses (resumed runs: losses of the epochs this call ran).
+  // `on_epoch`, when set, fires after every epoch with its telemetry.
   //
   // Numeric guardrails: a step whose loss or gradient norm is non-finite
   // is skipped (weights and Adam state untouched), the best-snapshot
@@ -173,9 +173,9 @@ class GnnPredictor {
                             const EpochCallback& on_epoch = nullptr,
                             const TrainOptions& options = {});
 
-  // Out-of-core training: samples stream from `store` through its
-  // LRU-bounded working set instead of residing wholly in memory (the
-  // prepared plans/batches are bounded by the same byte budget).
+  // Out-of-core training, adopting store.normalizer(): samples stream
+  // from `store` through its LRU-bounded working set instead of residing
+  // wholly in memory (prepared plans/batches share the byte budget).
   // Bit-identical to the in-memory overload on the same dataset —
   // per-sample preparation is deterministic, the shuffle stream depends
   // only on the eligible-sample count, and the streamed drift sketches
@@ -184,8 +184,7 @@ class GnnPredictor {
                             const TrainOptions& options = {});
 
   // Predicts raw-unit values for in-range nodes of each sample.
-  EvalResult evaluate(const dataset::SuiteDataset& ds,
-                      const std::vector<dataset::Sample>& samples) const;
+  EvalResult evaluate(const std::vector<dataset::Sample>& samples) const;
 
   // Out-of-core evaluation over the store's test (default) or train
   // split. Serial over circuits so peak memory stays bounded by the
@@ -195,20 +194,27 @@ class GnnPredictor {
 
   // Raw-unit predictions for ALL nodes of the target's node types,
   // concatenated in (type slot, node) order. Used by Algorithm 2.
-  std::vector<float> predict_all(const dataset::SuiteDataset& ds,
-                                 const dataset::Sample& sample) const;
+  std::vector<float> predict_all(const dataset::Sample& sample) const;
 
   // Same, reusing a caller-built GraphPlan (batched inference paths build
   // the plan once per circuit and share it across models/calls).
-  std::vector<float> predict_all(const dataset::SuiteDataset& ds, const dataset::Sample& sample,
-                                 const gnn::GraphPlan& plan) const;
+  std::vector<float> predict_all(const dataset::Sample& sample, const gnn::GraphPlan& plan) const;
 
   // Hierarchy-aware variant: memoizes per-subckt-template plans and
   // interior embeddings in `cache`, running the model only on the reduced
   // graph. Bit-identical to the plain overloads (gnn/plan_cache.h explains
   // why); falls back to them when the sample has no cacheable hierarchy.
-  std::vector<float> predict_all(const dataset::SuiteDataset& ds, const dataset::Sample& sample,
-                                 gnn::PlanCache& cache) const;
+  std::vector<float> predict_all(const dataset::Sample& sample, gnn::PlanCache& cache) const;
+
+  // kept for e2ebench; delete when the harness moves
+  std::vector<float> predict_all(const dataset::SuiteDataset&, const dataset::Sample& s) const {
+    return predict_all(s);
+  }
+  // kept for e2ebench; delete when the harness moves
+  std::vector<float> predict_all(const dataset::SuiteDataset&, const dataset::Sample& sample,
+                                 const gnn::GraphPlan& plan) const {
+    return predict_all(sample, plan);
+  }
 
   // Identity of the current weights; reassigned whenever train() completes
   // so memoized embeddings keyed by it are never stale.
@@ -219,17 +225,21 @@ class GnnPredictor {
   bool needs_homo() const;
 
   // Final-layer embeddings for one node type (e.g. for the t-SNE study).
-  nn::Matrix embeddings(const dataset::SuiteDataset& ds, const dataset::Sample& sample,
-                        graph::NodeType type) const;
+  nn::Matrix embeddings(const dataset::Sample& sample, graph::NodeType type) const;
 
   // Per-layer, per-edge-type attention statistics on one circuit
   // (interpretability study; only the attention-based models fill it).
-  gnn::AttentionRecord attention_analysis(const dataset::SuiteDataset& ds,
-                                          const dataset::Sample& sample) const;
+  gnn::AttentionRecord attention_analysis(const dataset::Sample& sample) const;
 
   std::size_t num_parameters() const;
   const TargetScaler& scaler() const { return scaler_; }
   void set_scaler(const TargetScaler& s) { scaler_ = s; }
+
+  // The input-feature normaliser the model was trained with; every
+  // inference entry point applies it, so the model artifact alone fixes
+  // the predictions. Set by train(), persisted as format v6.
+  const dataset::FeatureNormalizer& normalizer() const { return normalizer_; }
+  void set_normalizer(dataset::FeatureNormalizer n) { normalizer_ = std::move(n); }
 
   // Training-set feature-distribution sketches (drift reference). Filled
   // by train(), persisted by core/serialize as format v5; empty for models
@@ -258,18 +268,15 @@ class GnnPredictor {
                                  const TrainOptions& options);
   // nullptr when no target of the sample is in the scaler's range (the
   // sample contributes nothing to training).
-  std::shared_ptr<const Prepared> prepare_sample(const dataset::FeatureNormalizer& norm,
-                                                 const dataset::Sample& s,
+  std::shared_ptr<const Prepared> prepare_sample(const dataset::Sample& s,
                                                  std::shared_ptr<const dataset::Sample> owned) const;
-  gnn::GraphBatch make_batch(const dataset::FeatureNormalizer& norm,
-                             const dataset::Sample& sample, const gnn::GraphPlan* plan) const;
-  CircuitPrediction evaluate_circuit(const dataset::FeatureNormalizer& norm,
-                                     const dataset::Sample& s) const;
-  nn::Tensor forward_predictions(const gnn::GraphBatch& batch, std::size_t type_slot) const;
+  gnn::GraphBatch make_batch(const graph::HeteroGraph& g, const gnn::GraphPlan* plan) const;
+  CircuitPrediction evaluate_circuit(const dataset::Sample& s) const;
 
   PredictorConfig config_;
   std::uint64_t model_key_ = 0;
   TargetScaler scaler_;
+  dataset::FeatureNormalizer normalizer_;
   std::vector<obs::FeatureSketch> sketches_;
   std::unique_ptr<gnn::EmbeddingModel> embedding_;
   std::unique_ptr<nn::Mlp> head_;

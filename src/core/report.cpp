@@ -10,7 +10,6 @@ namespace paragraph::core {
 namespace {
 
 using dataset::Sample;
-using dataset::SuiteDataset;
 using eval::QualityAccumulator;
 
 // Object name for a node of `type` (net or device) via the graph's origin
@@ -41,11 +40,11 @@ double num_or(const obs::JsonValue* v, double fallback) {
 
 }  // namespace
 
-eval::QualityAccumulator collect_quality(const CapEnsemble& ensemble, const SuiteDataset& ds,
+eval::QualityAccumulator collect_quality(const CapEnsemble& ensemble,
                                          const std::vector<Sample>& samples,
                                          EvalResult* out_result) {
   std::vector<MemberAttribution> attributions;
-  EvalResult result = ensemble.evaluate(ds, samples, &attributions);
+  EvalResult result = ensemble.evaluate(samples, &attributions);
   const auto& max_vs = ensemble.max_vs_ff();
 
   QualityAccumulator q;
@@ -81,10 +80,10 @@ eval::QualityAccumulator collect_quality(const CapEnsemble& ensemble, const Suit
   return q;
 }
 
-eval::QualityAccumulator collect_quality(const GnnPredictor& model, const SuiteDataset& ds,
+eval::QualityAccumulator collect_quality(const GnnPredictor& model,
                                          const std::vector<Sample>& samples,
                                          EvalResult* out_result) {
-  EvalResult result = model.evaluate(ds, samples);
+  EvalResult result = model.evaluate(samples);
   const auto& types = dataset::target_node_types(model.config().target);
   const char* target = dataset::target_name(model.config().target);
   const bool is_cap = model.config().target == dataset::TargetKind::kCap;

@@ -1,5 +1,5 @@
 // Quality-report assembly: joins a trained model (or CAP ensemble), a
-// dataset, and optional prior metrics into the `paragraph-quality-v1`
+// set of test circuits, and optional prior metrics into the `paragraph-quality-v1`
 // JSON block and its human-readable Markdown rendering.
 //
 // collect_quality walks an evaluation's predictions and buckets every
@@ -27,13 +27,11 @@ namespace paragraph::core {
 // `out_result`, when non-null, receives the underlying EvalResult so
 // callers don't evaluate twice.
 eval::QualityAccumulator collect_quality(const CapEnsemble& ensemble,
-                                         const dataset::SuiteDataset& ds,
                                          const std::vector<dataset::Sample>& samples,
                                          EvalResult* out_result = nullptr);
 
 // Single-model path (any target kind; no member dimensions).
 eval::QualityAccumulator collect_quality(const GnnPredictor& model,
-                                         const dataset::SuiteDataset& ds,
                                          const std::vector<dataset::Sample>& samples,
                                          EvalResult* out_result = nullptr);
 

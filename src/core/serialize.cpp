@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "obs/log.h"
 #include "obs/sketch.h"
 #include "util/atomic_file.h"
 #include "util/bytes.h"
@@ -18,8 +19,8 @@ constexpr std::uint32_t kMagic = 0x50477230;  // "PGr0"
 // Version history:
 //   1: initial format
 //   2: adds PredictorConfig::scale after the seed (the dataset-generation
-//      scale used at training time, so predict/evaluate rebuild the same
-//      normaliser statistics)
+//      scale used at training time, from which loads of v2-v5 files
+//      rebuild the normaliser statistics)
 //   3: adds PredictorConfig::batch_size and train_threads after the scale
 //      (the graph-level data-parallel batch and the runtime thread count
 //      the model was trained with)
@@ -30,7 +31,11 @@ constexpr std::uint32_t kMagic = 0x50477230;  // "PGr0"
 //      reference, eval/drift.h) after the parameter data and before the
 //      checksum. Everything up to the parameter data keeps its v3/v4
 //      byte offsets.
-constexpr std::uint32_t kVersion = 5;
+//   6: appends the input-feature normaliser after the sketch block and
+//      before the checksum: the node-type count (0 for a never-trained
+//      model), then per type its feature dimension and float log1p mean
+//      and stdev vectors. v1-v5 loads rebuild it from (seed, scale).
+constexpr std::uint32_t kVersion = 6;
 
 // Sane maxima for decoded dims/counts. A corrupt or adversarial file must
 // not be able to drive multi-gigabyte allocations before the shape check
@@ -45,6 +50,8 @@ constexpr std::uint64_t kMaxThreads = 1 << 16;
 constexpr std::uint64_t kMaxSketches = 4096;
 constexpr std::uint64_t kMaxSketchBins = 1024;
 constexpr std::uint64_t kMaxSketchName = 256;
+// Largest recorded scale a pre-v6 load will regenerate the suite at.
+constexpr double kMaxLegacyScale = 64.0;
 constexpr std::uint32_t kMaxModelKind = static_cast<std::uint32_t>(gnn::ModelKind::kParaGraphNoConcat);
 constexpr std::uint32_t kMaxTargetKind = static_cast<std::uint32_t>(dataset::kNumTargets) - 1;
 
@@ -56,6 +63,27 @@ void write_pod(std::ostream& os, const T& v) {
 double finite_or_corrupt(double v, util::ByteReader& r, const char* what) {
   if (!std::isfinite(v)) r.corrupt(std::string("non-finite ") + what);
   return v;
+}
+
+dataset::FeatureNormalizer read_normalizer(util::ByteReader& r) {
+  const auto types = r.pod<std::uint64_t>("normalizer type count");
+  if (types != 0 && types != graph::kNumNodeTypes)
+    r.corrupt("normalizer type count " + std::to_string(types) + " (expected 0 or " +
+              std::to_string(graph::kNumNodeTypes) + ")");
+  std::array<dataset::FeatureNormalizer::TypeStats, graph::kNumNodeTypes> state;
+  for (std::size_t t = 0; t < types; ++t) {
+    const std::size_t dim = graph::feature_dim(static_cast<graph::NodeType>(t));
+    if (r.pod<std::uint64_t>("normalizer dim") != dim)
+      r.corrupt("normalizer dim mismatch for node type " + std::to_string(t));
+    for (std::vector<float>* v : {&state[t].mean, &state[t].stdev}) {
+      v->resize(dim);
+      std::memcpy(v->data(), r.bytes(dim * sizeof(float), "normalizer statistics").data(),
+                  dim * sizeof(float));
+      for (const float f : *v)
+        if (!std::isfinite(f)) r.corrupt("non-finite normalizer statistic");
+    }
+  }
+  return dataset::FeatureNormalizer::from_state(state);
 }
 
 }  // namespace
@@ -114,6 +142,17 @@ std::string predictor_to_bytes(const GnnPredictor& predictor) {
     write_pod(os, st.overflow);
     write_pod(os, static_cast<std::uint64_t>(st.bins.size()));
     for (const std::uint64_t b : st.bins) write_pod(os, b);
+  }
+  // v6 normaliser block: loading never has to rebuild the training suite.
+  const dataset::FeatureNormalizer& norm = predictor.normalizer();
+  write_pod(os, static_cast<std::uint64_t>(norm.fitted() ? graph::kNumNodeTypes : 0));
+  if (norm.fitted()) {
+    for (const auto& ts : norm.state()) {
+      write_pod(os, static_cast<std::uint64_t>(ts.mean.size()));
+      for (const std::vector<float>* v : {&ts.mean, &ts.stdev})
+        os.write(reinterpret_cast<const char*>(v->data()),
+                 static_cast<std::streamsize>(v->size() * sizeof(float)));
+    }
   }
 
   std::string bytes = os.str();
@@ -236,11 +275,25 @@ GnnPredictor predictor_from_bytes(std::string_view bytes, const std::string& con
     }
     predictor.set_feature_sketches(std::move(sketches));
   }
+  if (version >= 6) predictor.set_normalizer(read_normalizer(r));
   // v1-v3 files may carry trailing bytes (historical tools appended
   // nothing, but the loader never policed it); from v4 on the checksum
   // covers the exact payload, so leftovers mean corruption.
   if (version >= 4 && r.remaining() != 0)
     r.corrupt(std::to_string(r.remaining()) + " trailing bytes after parameter data");
+  // Files before v6 carry no normaliser: refit it on the suite their
+  // recorded (seed, scale) regenerate, as they were trained. The one
+  // dataset build on any load path, last so malformed files fail first.
+  if (version < 6) {
+    if (!(c.scale > 0.0 && c.scale <= kMaxLegacyScale))
+      r.corrupt("implausible recorded scale " + std::to_string(c.scale));
+    obs::log_warn("serialize",
+                  "model predates the persisted normaliser; rebuilding it (re-save to skip)",
+                  {{"model", context},
+                   {"seed", static_cast<unsigned long long>(c.seed)},
+                   {"scale", c.scale}});
+    predictor.set_normalizer(dataset::build_dataset(c.seed, c.scale).normalizer);
+  }
   return predictor;
 }
 

@@ -1,8 +1,9 @@
 // Binary persistence for trained predictors.
 //
 // A trained GnnPredictor is stored as its PredictorConfig (so the exact
-// architecture can be reconstructed), the fitted TargetScaler state, and
-// every parameter matrix in deterministic construction order. Files carry
+// architecture can be reconstructed), the fitted TargetScaler state, every
+// parameter matrix in deterministic construction order, the drift-reference
+// sketches, and the input-feature normaliser. Files carry
 // a magic header and a format version; loads validate shapes against the
 // freshly constructed model.
 #pragma once
@@ -24,8 +25,9 @@ void save_predictor(const GnnPredictor& predictor, const std::string& path);
 // trained weights and scaler. Every read is length-checked, dims/counts
 // are bounded against sane maxima, and (format >= 4) the trailing payload
 // checksum is verified; corrupt files raise util::CorruptArtifactError,
-// unreadable ones util::IoError. Formats 1-5 load (pre-v5 files simply
-// carry no drift-reference sketches).
+// unreadable ones util::IoError. Formats 1-6 load: pre-v5 files carry no
+// drift-reference sketches, and pre-v6 files carry no normaliser, so it is
+// rebuilt from their recorded (seed, scale) with one warning per load.
 GnnPredictor load_predictor(const std::string& path);
 
 // In-memory forms of the same format; the checkpoint writer embeds the

@@ -9,36 +9,16 @@ namespace paragraph::serve {
 
 ModelRegistry::ModelRegistry(RegistryConfig config) : config_(std::move(config)) {}
 
-const dataset::FeatureNormalizer& ModelRegistry::normalizer_for(std::uint64_t seed, double scale) {
-  const auto key = std::make_pair(seed, scale);
-  auto it = normalizer_cache_.find(key);
-  if (it != normalizer_cache_.end()) return it->second;
-  PARAGRAPH_TIMED_SCOPE("serve_normalizer_build");
-  obs::log_info("serve", "building normalizer",
-                {{"seed", static_cast<unsigned long long>(seed)}, {"scale", scale}});
-  // The full dataset build is the expensive part of a cold prediction;
-  // only its fitted statistics are needed, so the samples are dropped on
-  // the spot and the rebuild never happens again for this (seed, scale).
-  auto ds = dataset::build_dataset(seed, scale);
-  return normalizer_cache_.emplace(key, std::move(ds.normalizer)).first->second;
-}
-
 std::shared_ptr<const ModelBundle> ModelRegistry::build_bundle(std::uint64_t generation) {
   auto bundle = std::make_shared<ModelBundle>();
   bundle->generation = generation;
-  bundle->datasets.resize(1 + config_.model_paths.size());
   if (!config_.ensemble_path.empty()) {
     bundle->ensemble.emplace(core::CapEnsemble::load(config_.ensemble_path));
     bundle->degraded = bundle->ensemble->degraded();
     bundle->dropped = bundle->ensemble->dropped_members();
-    const auto& cfg = bundle->ensemble->model(0).config();
-    bundle->datasets[0].normalizer = normalizer_for(cfg.seed, cfg.scale);
   }
-  for (std::size_t i = 0; i < config_.model_paths.size(); ++i) {
-    bundle->models.push_back(core::load_predictor(config_.model_paths[i]));
-    const auto& cfg = bundle->models.back().config();
-    bundle->datasets[1 + i].normalizer = normalizer_for(cfg.seed, cfg.scale);
-  }
+  for (const std::string& path : config_.model_paths)
+    bundle->models.push_back(core::load_predictor(path));
   return bundle;
 }
 

@@ -542,12 +542,12 @@ void Server::handle_request(const std::shared_ptr<Connection>& conn, const obs::
   static obs::Counter& rejected_c = obs::MetricsRegistry::instance().counter("serve.rejected");
   static obs::Gauge& depth_g = obs::MetricsRegistry::instance().gauge("serve.queue_depth");
   const std::string client = job.client;  // job is moved into the queue
+  flight_mark(rid, "begin");  // before the push: the worker may start the job at once
   switch (queue_.push(std::move(job))) {
     case RequestQueue::PushResult::kOk:
       stats_.requests.fetch_add(1, std::memory_order_relaxed);
       requests_c.add();
       depth_g.set(static_cast<double>(queue_.depth()));
-      flight_mark(rid, "begin");
       break;
     case RequestQueue::PushResult::kFull:
       stats_.rejected.fetch_add(1, std::memory_order_relaxed);
@@ -577,6 +577,7 @@ void Server::handle_request(const std::shared_ptr<Connection>& conn, const obs::
       break;
     case RequestQueue::PushResult::kClosed:
       slo_.record(false, 0.0);
+      flight_mark(rid, "reject");
       send_error(conn, id, ErrorCode::kShuttingDown, "server is draining", rid);
       break;
   }
@@ -930,27 +931,25 @@ void Server::process_batch(std::vector<Job> batch) {
       const bool hier = allow_cache && !g.sample.netlist.instances().empty();
       obs::JsonValue preds = obs::JsonValue::object();
       if (bundle->ensemble.has_value()) {
-        const auto& ds = bundle->ensemble_dataset();
         std::vector<float> p;
         if (hier) {
           // Plan construction happens inside the cache-aware predict, so
           // it stays folded into predict_us on this path.
-          p = bundle->ensemble->predict_with_cache(ds, g.sample, plan_cache_);
+          p = bundle->ensemble->predict_with_cache(g.sample, plan_cache_);
         } else {
           const auto plan_start = std::chrono::steady_clock::now();
           const gnn::GraphPlan plan =
               gnn::GraphPlan::build(g.sample.graph, bundle->ensemble->model(0).needs_homo());
           g.plan_us = us_between(plan_start, std::chrono::steady_clock::now());
-          p = bundle->ensemble->predict_with_plan(ds, g.sample, plan);
+          p = bundle->ensemble->predict_with_plan(g.sample, plan);
         }
         preds.set(dataset::target_name(dataset::TargetKind::kCap),
                   named_predictions(g.sample, dataset::TargetKind::kCap, p));
       }
       for (std::size_t m = 0; m < bundle->models.size(); ++m) {
         const core::GnnPredictor& model = bundle->models[m];
-        const auto& ds = bundle->model_dataset(m);
-        const std::vector<float> p = hier ? model.predict_all(ds, g.sample, plan_cache_)
-                                          : model.predict_all(ds, g.sample);
+        const std::vector<float> p =
+            hier ? model.predict_all(g.sample, plan_cache_) : model.predict_all(g.sample);
         preds.set(dataset::target_name(model.config().target),
                   named_predictions(g.sample, model.config().target, p));
       }

@@ -2,8 +2,10 @@
 // --metrics-out/--trace-out and validates that both artefacts are
 // well-formed JSON with the promised structure (per-epoch records, phase
 // histograms with percentiles, Chrome trace events), then reloads the
-// model with `evaluate` to exercise the persisted --scale. Also covers
-// the quality-observability surface: evaluate --quality-out, the
+// model with `evaluate` to exercise the persisted --scale. Also checks
+// that a shard-trained model predicts with its persisted (manifest)
+// normaliser and that `predict` never rebuilds the training suite, and
+// covers the quality-observability surface: evaluate --quality-out, the
 // `report` dashboard pair, and the crash flight recorder's dump on a
 // fault-injected abort.
 //
@@ -20,6 +22,11 @@
 #include <sys/wait.h>
 #endif
 
+#include "circuit/spice_parser.h"
+#include "circuit/spice_writer.h"
+#include "core/serialize.h"
+#include "dataset/shards.h"
+#include "graph/hetero_graph.h"
 #include "obs/json.h"
 
 namespace {
@@ -238,6 +245,75 @@ TEST(CliSmokeTest, ShardPackTrainEvaluateRoundTrip) {
   EXPECT_EQ(exit_code("\"" + g_cli_path + "\" evaluate --model \"" + str_model +
                       "\" --shards \"" + shards + "\"" + quiet),
             3);
+}
+
+// Regression for shard-trained models: `train --shards` records the CLI's
+// default seed/scale (42, 0.25), not the packed suite's (7, 0.1), so a
+// normaliser rebuilt from the recorded values would be the wrong one. The
+// model file carries the manifest's normaliser instead; `predict` output
+// must be byte-identical to an in-process prediction with it, and the
+// cold predict path must not rebuild any dataset.
+TEST(CliSmokeTest, ShardTrainedModelPredictsWithManifestNormalizer) {
+  namespace pg = paragraph;
+  ASSERT_FALSE(g_cli_path.empty());
+  TempDir tmp;
+  const std::string quiet = " > /dev/null 2>&1";
+  const std::string cli = "\"" + g_cli_path + "\"";
+  const auto shards = (tmp.path / "shards").string();
+  const auto model = (tmp.path / "shard_model.bin").string();
+  const auto deck = (tmp.path / "deck.sp").string();
+  const auto out = (tmp.path / "predict.txt").string();
+  const auto metrics = (tmp.path / "predict_metrics.json").string();
+
+  ASSERT_EQ(exit_code(cli + " dataset pack --out \"" + shards + "\" --seed 7 --scale 0.1" + quiet),
+            0);
+  ASSERT_EQ(exit_code(cli + " train --save \"" + model + "\" --shards \"" + shards +
+                      "\" --epochs 2" + quiet),
+            0);
+  pg::dataset::ShardStore store(shards);
+  {
+    std::ofstream f(deck);
+    pg::circuit::write_spice(f, store.test(0)->netlist, {});
+  }
+  ASSERT_EQ(exit_code(cli + " predict --model \"" + model + "\" --netlist \"" + deck +
+                      "\" > \"" + out + "\" 2>/dev/null"),
+            0);
+
+  pg::core::GnnPredictor reference = pg::core::load_predictor(model);
+  ASSERT_EQ(reference.config().seed, 42u);  // the recorded seed is not the suite's
+  reference.set_normalizer(store.normalizer());
+  pg::dataset::Sample sample;
+  sample.netlist = pg::circuit::parse_spice_file(deck);
+  sample.graph = pg::graph::build_graph(sample.netlist);
+  const std::vector<float> preds = reference.predict_all(sample);
+  const auto target = reference.config().target;
+  std::string want = std::string("# ") + pg::dataset::target_name(target) + " predictions for " +
+                     deck + "\n";
+  std::size_t k = 0;
+  for (const auto nt : pg::dataset::target_node_types(target)) {
+    for (const auto origin : sample.graph.origins(nt)) {
+      const std::string& name = nt == pg::graph::NodeType::kNet
+                                    ? sample.netlist.net(origin).name
+                                    : sample.netlist.device(origin).name;
+      char line[256];
+      std::snprintf(line, sizeof line, "%-32s %g\n", name.c_str(), preds[k++]);
+      want += line;
+    }
+  }
+  ASSERT_GT(k, 0u);
+  EXPECT_EQ(read_file(out), want);
+
+  // The cold predict profile has the forward pass and no dataset build.
+  ASSERT_EQ(exit_code(cli + " predict --model \"" + model + "\" --netlist \"" + deck +
+                      "\" --metrics-out \"" + metrics + "\"" + quiet),
+            0);
+  std::string error;
+  const auto doc = JsonValue::parse(read_file(metrics), &error);
+  ASSERT_TRUE(doc.has_value()) << error;
+  const JsonValue& profile = doc->at("profile");
+  EXPECT_NE(profile.find("predict"), nullptr);
+  for (const auto& [path, node] : profile.items())
+    EXPECT_EQ(path.find("dataset_build"), std::string::npos) << path;
 }
 
 // evaluate --quality-out must emit a valid paragraph-quality-v1 block,

@@ -65,7 +65,7 @@ TEST(GnnPredictor, TrainsAndEvaluatesCap) {
   const auto losses = p.train(tiny_dataset());
   ASSERT_EQ(losses.size(), 30u);
   EXPECT_LT(losses.back(), losses.front());
-  const EvalResult res = p.evaluate(tiny_dataset(), tiny_dataset().test);
+  const EvalResult res = p.evaluate(tiny_dataset().test);
   EXPECT_EQ(res.circuits.size(), 4u);
   const auto m = res.pooled();
   EXPECT_GT(m.count, 0u);
@@ -81,7 +81,7 @@ TEST(GnnPredictor, PredictAllCoversEveryNetNode) {
   GnnPredictor p(pc);
   p.train(tiny_dataset());
   const auto& sample = tiny_dataset().test[0];
-  const auto preds = p.predict_all(tiny_dataset(), sample);
+  const auto preds = p.predict_all(sample);
   EXPECT_EQ(preds.size(), sample.graph.num_nodes(graph::NodeType::kNet));
 }
 
@@ -94,7 +94,7 @@ TEST(GnnPredictor, DeviceTargetCoversBothTransistorTypes) {
   GnnPredictor p(pc);
   p.train(tiny_dataset());
   const auto& sample = tiny_dataset().train[1];  // t2 has thick devices
-  const auto preds = p.predict_all(tiny_dataset(), sample);
+  const auto preds = p.predict_all(sample);
   EXPECT_EQ(preds.size(), sample.graph.num_nodes(graph::NodeType::kTransistor) +
                               sample.graph.num_nodes(graph::NodeType::kTransistorThick));
 }
@@ -108,7 +108,7 @@ TEST(GnnPredictor, EmbeddingsHaveConfiguredDim) {
   GnnPredictor p(pc);
   p.train(tiny_dataset());
   const nn::Matrix emb =
-      p.embeddings(tiny_dataset(), tiny_dataset().test[0], graph::NodeType::kNet);
+      p.embeddings(tiny_dataset().test[0], graph::NodeType::kNet);
   EXPECT_EQ(emb.cols(), 8u);
   EXPECT_EQ(emb.rows(), tiny_dataset().test[0].graph.num_nodes(graph::NodeType::kNet));
 }
@@ -123,11 +123,11 @@ TEST(GnnPredictor, MaxVFiltersTraining) {
   pc.embed_dim = 4;
   GnnPredictor wide(pc);
   wide.train(tiny_dataset());
-  const auto wide_n = wide.evaluate(tiny_dataset(), tiny_dataset().test).pooled().count;
+  const auto wide_n = wide.evaluate(tiny_dataset().test).pooled().count;
   pc.max_v_ff = 1.0;
   GnnPredictor narrow(pc);
   narrow.train(tiny_dataset());
-  const auto narrow_n = narrow.evaluate(tiny_dataset(), tiny_dataset().test).pooled().count;
+  const auto narrow_n = narrow.evaluate(tiny_dataset().test).pooled().count;
   EXPECT_LT(narrow_n, wide_n);
 }
 
@@ -167,10 +167,10 @@ TEST(CapEnsemble, Algorithm2PrefersHigherRangeModels) {
   ens.train(tiny_dataset());
   EXPECT_EQ(ens.num_models(), 3u);
   const auto& sample = tiny_dataset().test[0];
-  const auto ens_pred = ens.predict(tiny_dataset(), sample);
-  const auto low_pred = ens.model(0).predict_all(tiny_dataset(), sample);
-  const auto mid_pred = ens.model(1).predict_all(tiny_dataset(), sample);
-  const auto high_pred = ens.model(2).predict_all(tiny_dataset(), sample);
+  const auto ens_pred = ens.predict(sample);
+  const auto low_pred = ens.model(0).predict_all(sample);
+  const auto mid_pred = ens.model(1).predict_all(sample);
+  const auto high_pred = ens.model(2).predict_all(sample);
   ASSERT_EQ(ens_pred.size(), low_pred.size());
   for (std::size_t i = 0; i < ens_pred.size(); ++i) {
     // Algorithm 2: highest-range model whose prediction exceeds the next-

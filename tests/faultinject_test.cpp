@@ -130,7 +130,7 @@ TEST_F(FaultInjectTest, InjectedNanStepIsSkippedAndTrainingRecovers) {
   ASSERT_EQ(losses.size(), 3u);
   for (const double l : losses) EXPECT_TRUE(std::isfinite(l));
   // The model must still be in a usable state end to end.
-  const auto m = p.evaluate(suite(), suite().test).pooled();
+  const auto m = p.evaluate(suite().test).pooled();
   EXPECT_GT(m.count, 0u);
 }
 

@@ -98,7 +98,7 @@ TEST(Integration, EnsembleImprovesWideRangeMape) {
   cfg.base.embed_dim = 16;
   core::CapEnsemble ens(cfg);
   ens.train(ds);
-  const auto ens_metrics = ens.evaluate(ds, ds.test).pooled();
+  const auto ens_metrics = ens.evaluate(ds.test).pooled();
 
   // Compare against the widest member re-evaluated over the full range.
   core::EvalResult wide;
@@ -106,7 +106,7 @@ TEST(Integration, EnsembleImprovesWideRangeMape) {
     core::CircuitPrediction cp;
     cp.name = s.name;
     cp.truth = s.target_values(dataset::TargetKind::kCap);
-    cp.pred = ens.model(3).predict_all(ds, s);
+    cp.pred = ens.model(3).predict_all(s);
     wide.circuits.push_back(std::move(cp));
   }
   EXPECT_LT(ens_metrics.mape, wide.pooled().mape * 1.05);

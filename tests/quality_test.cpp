@@ -158,7 +158,7 @@ TEST_F(QualityReportTest, SingleModelReportJsonAndMarkdown) {
   core::GnnPredictor model(pc);
   model.train(*ds_);
 
-  const auto quality = core::collect_quality(model, *ds_, ds_->test);
+  const auto quality = core::collect_quality(model, ds_->test);
   EXPECT_FALSE(quality.empty());
 
   // Training fit the drift reference; the held-out split provides live
@@ -198,7 +198,7 @@ TEST_F(QualityReportTest, EnsembleAttributionIsCheapAndConsistent) {
   ens.train(*ds_);
 
   std::vector<core::MemberAttribution> attrs;
-  const auto with = ens.evaluate(*ds_, ds_->test, &attrs);
+  const auto with = ens.evaluate(ds_->test, &attrs);
   ASSERT_EQ(attrs.size(), ds_->test.size());
   for (std::size_t i = 0; i < attrs.size(); ++i) {
     EXPECT_EQ(attrs[i].member.size(), with.circuits[i].pred.size());
@@ -208,7 +208,7 @@ TEST_F(QualityReportTest, EnsembleAttributionIsCheapAndConsistent) {
   }
 
   // Attribution must not change the predictions themselves.
-  const auto plain = ens.evaluate(*ds_, ds_->test);
+  const auto plain = ens.evaluate(ds_->test);
   for (std::size_t i = 0; i < plain.circuits.size(); ++i)
     EXPECT_EQ(plain.circuits[i].pred, with.circuits[i].pred);
 
@@ -221,7 +221,7 @@ TEST_F(QualityReportTest, EnsembleAttributionIsCheapAndConsistent) {
   // median over a disturbed window does not.
   const auto time_once = [&](std::vector<core::MemberAttribution>* a) {
     const auto start = std::chrono::steady_clock::now();
-    for (int k = 0; k < 3; ++k) ens.evaluate(*ds_, ds_->test, a);
+    for (int k = 0; k < 3; ++k) ens.evaluate(ds_->test, a);
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   };
   double base = 1e9, instrumented = 1e9;

@@ -46,7 +46,7 @@ TrainRun train_at(std::size_t threads, std::size_t batch) {
     const nn::Matrix& m = t.value();
     run.params.insert(run.params.end(), m.data(), m.data() + m.size());
   }
-  run.preds = predictor.predict_all(ds, ds.test[0]);
+  run.preds = predictor.predict_all(ds.test[0]);
   runtime::set_num_threads(0);
   return run;
 }
@@ -111,7 +111,8 @@ TEST(RuntimeDeterminismTest, EvaluateBitIdenticalAcrossMultiThreadCounts) {
   const auto eval_at = [&](std::size_t threads) {
     runtime::set_num_threads(threads);
     core::GnnPredictor predictor(small_config(1));
-    const auto result = predictor.evaluate(ds, ds.test);
+    predictor.set_normalizer(ds.normalizer);
+    const auto result = predictor.evaluate(ds.test);
     runtime::set_num_threads(0);
     return result;
   };
@@ -132,7 +133,8 @@ TEST(RuntimeDeterminismTest, EvaluateSerialMatchesParallelWithinTolerance) {
   const auto eval_at = [&](std::size_t threads) {
     runtime::set_num_threads(threads);
     core::GnnPredictor predictor(small_config(1));
-    const auto result = predictor.evaluate(ds, ds.test);
+    predictor.set_normalizer(ds.normalizer);
+    const auto result = predictor.evaluate(ds.test);
     runtime::set_num_threads(0);
     return result;
   };

@@ -1,9 +1,9 @@
 // Corrupt-artifact matrix for the model-file and checkpoint formats:
-// truncation at every boundary, bit flips anywhere in a v4/v5 file,
+// truncation at every boundary, bit flips anywhere in a v4-v6 file,
 // flipped magic/version, oversized dims on checksum-less (v3) files,
-// hostile fields inside the v5 sketch block (reached by restamping the
-// checksum), version compatibility for the sketch block, and round-trip
-// integrity. Every rejection must be the typed error the API documents —
+// hostile fields inside the v5 sketch block and the v6 normaliser block
+// (reached by restamping the checksum), version compatibility for both
+// blocks, and round-trip integrity. Every rejection must be the typed error the API documents —
 // never a crash, hang, or silent misload.
 #include <gtest/gtest.h>
 
@@ -30,16 +30,56 @@ constexpr std::size_t kOffEmbedDim = 16;
 constexpr std::size_t kOffScalerZscore = 96;
 constexpr std::size_t kOffScalerStdev = 106;
 constexpr std::size_t kOffParamCount = 122;
+constexpr std::size_t kOffScale = 72;
 constexpr std::size_t kOffFirstRows = 130;
+// A never-trained model's v6 normaliser block is a zero node-type count.
+// With the checksum it forms the file's tail.
+constexpr std::size_t kEmptyNormBlock = 8;
+constexpr std::size_t kTail = kEmptyNormBlock + sizeof(std::uint64_t);
 
-std::string tiny_model_bytes() {
+PredictorConfig tiny_config() {
   PredictorConfig pc;
   pc.target = dataset::TargetKind::kCap;
   pc.embed_dim = 4;
   pc.num_layers = 1;
   pc.fc_layers = 1;
-  const GnnPredictor p(pc);  // untrained weights serialize fine
+  // Pre-v6 restamps rebuild the normaliser at the recorded scale on
+  // load; keep that suite small.
+  pc.scale = 0.05;
+  return pc;
+}
+
+std::string tiny_model_bytes() {
+  const GnnPredictor p(tiny_config());  // untrained weights serialize fine
   return predictor_to_bytes(p);
+}
+
+// Deterministic statistics of the right shape, so the v6 block can be
+// exercised without building a dataset.
+dataset::FeatureNormalizer synthetic_normalizer() {
+  std::array<dataset::FeatureNormalizer::TypeStats, graph::kNumNodeTypes> st;
+  for (std::size_t t = 0; t < graph::kNumNodeTypes; ++t) {
+    const std::size_t dim = graph::feature_dim(static_cast<graph::NodeType>(t));
+    for (std::size_t c = 0; c < dim; ++c) {
+      st[t].mean.push_back(0.25f * static_cast<float>(t) + 0.125f * static_cast<float>(c));
+      st[t].stdev.push_back(1.0f + 0.5f * static_cast<float>(c));
+    }
+  }
+  return dataset::FeatureNormalizer::from_state(st);
+}
+
+std::string fitted_model_bytes() {
+  GnnPredictor p(tiny_config());
+  p.set_normalizer(synthetic_normalizer());
+  return predictor_to_bytes(p);
+}
+
+// Offset of the v6 normaliser block in a fitted model's bytes.
+std::size_t norm_block_start(const std::string& bytes) {
+  std::size_t block = 8;
+  for (std::size_t t = 0; t < graph::kNumNodeTypes; ++t)
+    block += 8 + 2 * sizeof(float) * graph::feature_dim(static_cast<graph::NodeType>(t));
+  return bytes.size() - sizeof(std::uint64_t) - block;
 }
 
 // Strips the v4 checksum and stamps an older version so corruption of
@@ -68,19 +108,14 @@ std::vector<obs::FeatureSketch> sample_sketches() {
 }
 
 std::string sketch_model_bytes() {
-  PredictorConfig pc;
-  pc.target = dataset::TargetKind::kCap;
-  pc.embed_dim = 4;
-  pc.num_layers = 1;
-  pc.fc_layers = 1;
-  GnnPredictor p(pc);
+  GnnPredictor p(tiny_config());
   p.set_feature_sketches(sample_sketches());
   return predictor_to_bytes(p);
 }
 
-// Recomputes the v4/v5 trailing checksum after a test mutated the
-// payload, so hostile field values reach the bounded sketch readers
-// instead of tripping the checksum first.
+// Recomputes the v4+ trailing checksum after a test mutated the payload,
+// so hostile field values reach the bounded block readers instead of
+// tripping the checksum first.
 std::string restamp_checksum(std::string bytes) {
   bytes.resize(bytes.size() - sizeof(std::uint64_t));
   const std::uint64_t sum = util::fnv1a64(bytes);
@@ -214,14 +249,16 @@ TEST(SerializeRobustness, V5SketchBlockRoundTrips) {
 }
 
 TEST(SerializeRobustness, V4FilesWithoutSketchBlockStillLoad) {
-  // A v4 file is the v5 layout minus the sketch block: drop the empty
-  // sketch count (8 bytes before the checksum), stamp version 4, restamp.
+  // A v4 file is the v6 layout minus the sketch and normaliser blocks:
+  // drop the empty sketch count and the block after it, stamp version 4,
+  // restamp.
   std::string bytes = tiny_model_bytes();
-  bytes.erase(bytes.size() - 2 * sizeof(std::uint64_t), sizeof(std::uint64_t));
+  bytes.erase(bytes.size() - kTail - 8, 8 + kEmptyNormBlock);
   patch<std::uint32_t>(bytes, kOffVersion, 4);
   bytes = restamp_checksum(bytes);
   const GnnPredictor loaded = predictor_from_bytes(bytes, "v4 compat");
   EXPECT_TRUE(loaded.feature_sketches().empty());
+  EXPECT_TRUE(loaded.normalizer().fitted());  // rebuilt from (seed, scale)
 }
 
 TEST(SerializeRobustness, PreV5FilesCarryNoSketches) {
@@ -234,8 +271,9 @@ TEST(SerializeRobustness, TruncationInsideSketchBlockIsTyped) {
   const std::string with = sketch_model_bytes();
   const std::string without = tiny_model_bytes();
   ASSERT_GT(with.size(), without.size());
-  // The sketch block spans [params_end, checksum); sweep cuts through it.
-  const std::size_t block_start = without.size() - 2 * sizeof(std::uint64_t);
+  // The sketch block spans [params_end, normaliser block); sweep cuts
+  // through it and on to the end.
+  const std::size_t block_start = without.size() - kTail - 8;
   for (std::size_t cut = block_start; cut < with.size(); cut += 7) {
     EXPECT_THROW(predictor_from_bytes(with.substr(0, cut), "sketch truncation"),
                  util::CorruptArtifactError)
@@ -247,7 +285,7 @@ TEST(SerializeRobustness, HostileSketchFieldsAreBoundedBeforeAllocation) {
   const std::string with = sketch_model_bytes();
   const std::string without = tiny_model_bytes();
   // Sketch count sits where the empty block's count sat.
-  const std::size_t off_count = without.size() - 2 * sizeof(std::uint64_t);
+  const std::size_t off_count = without.size() - kTail - 8;
   {
     std::string bad = with;
     patch<std::uint64_t>(bad, off_count, std::uint64_t{1} << 40);
@@ -280,12 +318,112 @@ TEST(SerializeRobustness, HostileSketchFieldsAreBoundedBeforeAllocation) {
 
 TEST(SerializeRobustness, ChecksumCatchesBitFlipsInSketchBlock) {
   const std::string pristine = sketch_model_bytes();
-  const std::size_t block_start = tiny_model_bytes().size() - 2 * sizeof(std::uint64_t);
+  const std::size_t block_start = tiny_model_bytes().size() - kTail - 8;
   for (std::size_t pos = block_start; pos < pristine.size(); pos += 13) {
     std::string bytes = pristine;
     bytes[pos] = static_cast<char>(bytes[pos] ^ 0x04);
     EXPECT_THROW(predictor_from_bytes(bytes, "sketch bit flip"), util::CorruptArtifactError)
         << "flip at " << pos;
+  }
+}
+
+TEST(SerializeRobustness, V6NormalizerBlockRoundTrips) {
+  const std::string bytes = fitted_model_bytes();
+  const GnnPredictor loaded = predictor_from_bytes(bytes, "v6 round-trip");
+  ASSERT_TRUE(loaded.normalizer().fitted());
+  // Exact statistics: PlanCache embedding keys hash them.
+  EXPECT_EQ(loaded.normalizer().fingerprint(), synthetic_normalizer().fingerprint());
+  EXPECT_EQ(predictor_to_bytes(loaded), bytes);
+  // A never-trained model round-trips its empty block without refitting.
+  EXPECT_FALSE(predictor_from_bytes(tiny_model_bytes(), "empty").normalizer().fitted());
+}
+
+TEST(SerializeRobustness, TruncationAtEveryNormalizerBoundaryIsTyped) {
+  const std::string bytes = fitted_model_bytes();
+  const std::string payload = bytes.substr(0, bytes.size() - sizeof(std::uint64_t));
+  // Boundaries: block start, after the type count, then per type after
+  // its dim, its mean vector and its stdev vector (each also +-1 byte).
+  std::vector<std::size_t> cuts;
+  std::size_t off = norm_block_start(bytes);
+  const auto mark = [&](std::size_t at) {
+    for (const std::size_t c : {at - 1, at, at + 1})
+      if (c < payload.size()) cuts.push_back(c);
+  };
+  mark(off);
+  off += 8;
+  mark(off);
+  for (std::size_t t = 0; t < graph::kNumNodeTypes; ++t) {
+    const std::size_t vec = sizeof(float) * graph::feature_dim(static_cast<graph::NodeType>(t));
+    for (const std::size_t step : {std::size_t{8}, vec, vec}) {
+      off += step;
+      mark(off);
+    }
+  }
+  ASSERT_EQ(off, payload.size());
+  for (const std::size_t cut : cuts) {
+    // Raw truncation trips the checksum; a restamped one reaches the
+    // block parser's length checks.
+    EXPECT_THROW(predictor_from_bytes(bytes.substr(0, cut), "truncated"),
+                 util::CorruptArtifactError)
+        << "cut at " << cut;
+    EXPECT_THROW(predictor_from_bytes(restamp_checksum(payload.substr(0, cut) + "checksum"),
+                                      "restamped truncation"),
+                 util::CorruptArtifactError)
+        << "restamped cut at " << cut;
+  }
+}
+
+TEST(SerializeRobustness, HostileNormalizerFieldsAreTyped) {
+  const std::string good = fitted_model_bytes();
+  const std::size_t off_types = norm_block_start(good);
+  const auto rejects = [](std::string bad, const char* what) {
+    EXPECT_THROW(predictor_from_bytes(restamp_checksum(std::move(bad)), what),
+                 util::CorruptArtifactError)
+        << what;
+  };
+  for (const std::uint64_t types :
+       {std::uint64_t{0}, std::uint64_t{graph::kNumNodeTypes - 1},
+        std::uint64_t{graph::kNumNodeTypes + 1}, std::uint64_t{1} << 40}) {
+    std::string bad = good;
+    patch<std::uint64_t>(bad, off_types, types);
+    rejects(bad, "type count");
+  }
+  // Per-type dimension must match graph::feature_dim(t): off by one either
+  // way, and absurd, for the first and the last node type.
+  std::size_t off_last_dim = off_types + 8;
+  for (std::size_t t = 0; t + 1 < graph::kNumNodeTypes; ++t)
+    off_last_dim += 8 + 2 * sizeof(float) * graph::feature_dim(static_cast<graph::NodeType>(t));
+  const std::uint64_t dim0 = graph::feature_dim(static_cast<graph::NodeType>(0));
+  const std::uint64_t dim_last =
+      graph::feature_dim(static_cast<graph::NodeType>(graph::kNumNodeTypes - 1));
+  for (const auto& [off, dim] : {std::pair{off_types + 8, dim0}, std::pair{off_last_dim, dim_last}}) {
+    for (const std::uint64_t wrong : {dim + 1, dim - 1, std::uint64_t{1} << 40}) {
+      std::string bad = good;
+      patch<std::uint64_t>(bad, off, wrong);
+      rejects(bad, "dim");
+    }
+  }
+  // Non-finite statistics: first mean entry, last stdev entry.
+  const std::size_t off_first_mean = off_types + 16;
+  const std::size_t off_last_stdev = good.size() - sizeof(std::uint64_t) - sizeof(float);
+  for (const std::size_t off : {off_first_mean, off_last_stdev}) {
+    for (const float v : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()}) {
+      std::string bad = good;
+      patch<float>(bad, off, v);
+      rejects(bad, "non-finite statistic");
+    }
+  }
+}
+
+TEST(SerializeRobustness, LegacyRebuildRejectsImplausibleScale) {
+  // Pre-v6 loads regenerate the suite at the recorded scale; a hostile
+  // scale must be refused before it can drive that rebuild.
+  for (const double scale : {0.0, -1.0, 1e9}) {
+    std::string bad = as_version3(tiny_model_bytes());
+    patch<double>(bad, kOffScale, scale);
+    EXPECT_THROW(predictor_from_bytes(bad, "scale"), util::CorruptArtifactError) << scale;
   }
 }
 

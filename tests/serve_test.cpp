@@ -1,7 +1,8 @@
 // In-process loopback tests for the serve subsystem (DESIGN.md §12):
 // queue semantics, micro-batching bit-identity against single-request
 // serving, priority ordering under a held backlog, admission control,
-// graceful reload mid-traffic, degraded-ensemble reloads, and the TCP
+// graceful reload mid-traffic, degraded-ensemble reloads, per-member
+// normalisers for ensembles mixing training suites, and the TCP
 // listener. Everything runs against a real Server on a unix socket in
 // the test temp dir — the same code path production clients hit.
 #include <gtest/gtest.h>
@@ -17,8 +18,10 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "circuit/spice_parser.h"
 #include "circuit/spice_writer.h"
 #include "core/ensemble.h"
+#include "core/serialize.h"
 #include "dataset/dataset.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -43,7 +46,7 @@ core::CapEnsemble train_tiny_ensemble(int epochs) {
   cfg.base.epochs = epochs;
   cfg.base.num_layers = 2;
   cfg.base.embed_dim = 8;
-  cfg.base.seed = 21;  // matches tiny_dataset: one normaliser serves both
+  cfg.base.seed = 21;
   cfg.base.scale = 0.05;
   core::CapEnsemble ens(cfg);
   ens.train(tiny_dataset());
@@ -53,8 +56,7 @@ core::CapEnsemble train_tiny_ensemble(int epochs) {
 // Two trained generations, saved once per process: "A" is the serving
 // ensemble, "B" is the replacement the reload tests swap in. Different
 // epoch counts give different weights, so their predictions are
-// distinguishable, while the shared (seed, scale) keeps the registry's
-// normaliser cache hot across every server in this file.
+// distinguishable.
 struct Artifacts {
   std::string dir;
   std::string ensemble_a;  // + .m0 / .m1 member files
@@ -475,6 +477,96 @@ TEST(Serve, TcpLoopbackServes) {
   ServeClient unix_client = ServeClient::connect_unix(cfg.socket_path);
   EXPECT_EQ(predictions_of(unix_client.predict(test_decks()[0])), predictions_of(resp));
   server.stop();
+}
+
+// The response body an in-process prediction would produce: the
+// server's `predictions` object for one CAP vector.
+std::string expected_cap_predictions(const dataset::Sample& sample,
+                                     const std::vector<float>& preds) {
+  obs::JsonValue named = obs::JsonValue::object();
+  std::size_t k = 0;
+  for (const auto origin : sample.graph.origins(graph::NodeType::kNet))
+    named.set(sample.netlist.net(origin).name, static_cast<double>(preds.at(k++)));
+  obs::JsonValue out = obs::JsonValue::object();
+  out.set(dataset::target_name(dataset::TargetKind::kCap), std::move(named));
+  return out.dump();
+}
+
+dataset::Sample sample_of(const std::string& deck) {
+  dataset::Sample s;
+  s.netlist = circuit::parse_spice_string(deck);
+  s.name = s.netlist.name();
+  s.graph = graph::build_graph(s.netlist);
+  return s;
+}
+
+// An ensemble whose members were trained on different suites: each member
+// must normalise with its own persisted statistics, even though both
+// record the same (seed, scale). Likewise a --model.
+TEST(Serve, MixedSuiteEnsembleUsesEachMembersNormalizer) {
+  const std::string dir = ::testing::TempDir() + "serve_mixed_suite";
+  std::filesystem::create_directories(dir);
+  const std::string ens_path = dir + "/ens.bin";
+  const auto other_suite = dataset::build_dataset(22, 0.05);
+  const dataset::SuiteDataset* suites[] = {&tiny_dataset(), &other_suite};
+  const double max_vs[] = {1.0, 1e4};
+  for (std::size_t i = 0; i < 2; ++i) {
+    core::PredictorConfig pc;
+    pc.target = dataset::TargetKind::kCap;
+    pc.max_v_ff = max_vs[i];
+    pc.epochs = 2;
+    pc.num_layers = 2;
+    pc.embed_dim = 8;
+    pc.seed = 21;  // the recorded seed/scale name member 0's suite for both
+    pc.scale = 0.05;
+    core::GnnPredictor member(pc);
+    member.train(*suites[i]);
+    core::save_predictor(member, ens_path + ".m" + std::to_string(i));
+  }
+  std::ofstream(ens_path) << "paragraph-ensemble 1\nmembers 2\n";
+
+  const core::CapEnsemble ens = core::CapEnsemble::load(ens_path);
+  ASSERT_NE(ens.model(0).normalizer().fingerprint(), ens.model(1).normalizer().fingerprint());
+  // Member 0's statistics change member 1's answer, so the check below
+  // would catch a shared normaliser.
+  core::GnnPredictor borrowed = core::load_predictor(ens_path + ".m1");
+  borrowed.set_normalizer(ens.model(0).normalizer());
+  const auto decks = test_decks();
+  bool normalizer_matters = false;
+  for (const std::string& deck : decks) {
+    const dataset::Sample s = sample_of(deck);
+    if (borrowed.predict_all(s) != ens.model(1).predict_all(s)) normalizer_matters = true;
+  }
+  ASSERT_TRUE(normalizer_matters);
+
+  {
+    Server server(base_config("mixed_suite", ens_path));
+    server.start();
+    ServeClient client = ServeClient::connect_unix(server.config().socket_path);
+    for (std::size_t i = 0; i < decks.size(); ++i) {
+      const dataset::Sample s = sample_of(decks[i]);
+      const obs::JsonValue resp = client.predict(decks[i]);
+      ASSERT_TRUE(resp.at("ok").as_bool());
+      EXPECT_EQ(predictions_of(resp), expected_cap_predictions(s, ens.predict(s))) << "deck " << i;
+    }
+    server.stop();
+  }
+  {
+    ServeConfig cfg = base_config("mixed_suite_model", "");
+    cfg.registry.model_paths = {ens_path + ".m1"};
+    Server server(cfg);
+    server.start();
+    ServeClient client = ServeClient::connect_unix(cfg.socket_path);
+    for (std::size_t i = 0; i < decks.size(); ++i) {
+      const dataset::Sample s = sample_of(decks[i]);
+      const obs::JsonValue resp = client.predict(decks[i]);
+      ASSERT_TRUE(resp.at("ok").as_bool());
+      EXPECT_EQ(predictions_of(resp), expected_cap_predictions(s, ens.model(1).predict_all(s)))
+          << "deck " << i;
+    }
+    server.stop();
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Serve, SocketPathInUseThrowsIoError) {

@@ -4,16 +4,19 @@
 // to the in-memory original (netlist, graph features, targets), the LRU
 // working set respects its byte budget, corrupt shards are rejected, and
 // streamed train/evaluate produce the same floats as the in-memory
-// overloads.
+// overloads, and a model trained from shards persists the manifest's
+// normaliser.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "core/predictor.h"
+#include "core/serialize.h"
 #include "dataset/dataset.h"
 #include "dataset/shards.h"
 #include "obs/metrics.h"
@@ -209,7 +212,7 @@ void expect_streamed_matches_in_memory(const core::PredictorConfig& cfg,
     ASSERT_EQ(sk_mem[i].bins(), sk_str[i].bins());
   }
 
-  const core::EvalResult ev_mem = in_memory.evaluate(ds, ds.test);
+  const core::EvalResult ev_mem = in_memory.evaluate(ds.test);
   const core::EvalResult ev_str = streamed.evaluate(store, /*test_split=*/true);
   ASSERT_EQ(ev_mem.circuits.size(), ev_str.circuits.size());
   for (std::size_t c = 0; c < ev_mem.circuits.size(); ++c) {
@@ -230,6 +233,41 @@ TEST_F(ShardsTest, StreamedTrainMatchesForZscoreTargetAndBatches) {
   cfg.epochs = 1;
   cfg.batch_size = 2;
   expect_streamed_matches_in_memory(cfg, *ds_, dir_);
+}
+
+// Regression: shards packed from a non-default suite (seed 7, scale 0.1)
+// and a model whose config records other values (seed 42, scale 0.25 —
+// what `train --shards` records). A normaliser rebuilt from the recorded
+// values would come from a different suite; the saved model must carry
+// the manifest's and predict byte-identically to it.
+TEST(ShardTrainedModel, PredictsWithTheManifestNormalizer) {
+  const std::string dir = (fs::temp_directory_path() / "paragraph_shards_s7").string();
+  fs::remove_all(dir);
+  dataset::write_shards(dataset::build_dataset(7, 0.1), dir);
+  dataset::ShardStore store(dir);
+
+  core::PredictorConfig cfg = small_config(dataset::TargetKind::kCap);
+  cfg.seed = 42;
+  cfg.scale = 0.25;
+  cfg.epochs = 1;
+  core::GnnPredictor trained(cfg);
+  trained.train(store);
+  const std::string path = dir + "/model.bin";
+  core::save_predictor(trained, path);
+
+  const core::GnnPredictor loaded = core::load_predictor(path);
+  EXPECT_EQ(loaded.normalizer().fingerprint(), store.normalizer().fingerprint());
+  core::GnnPredictor reference = core::load_predictor(path);
+  reference.set_normalizer(store.normalizer());
+  for (std::size_t i = 0; i < store.num_test(); ++i) {
+    const auto sample = store.test(i);
+    const std::vector<float> got = loaded.predict_all(*sample);
+    const std::vector<float> want = reference.predict_all(*sample);
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)), 0)
+        << store.test_name(i);
+  }
+  fs::remove_all(dir);
 }
 
 }  // namespace

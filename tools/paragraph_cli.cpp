@@ -7,9 +7,11 @@
 //                   [--epochs N] [--scale F] [--seed N] [--max-v FF]
 //                   [--eval-every N] [--batch-size B]
 //                   [--checkpoint-every N] [--checkpoint PATH] [--resume PATH]
-//       Train a predictor on the synthetic suite and save it. The --scale
-//       used here is persisted in the model file and reused by
-//       predict/evaluate. --batch-size B runs B circuits' forward/backward
+//       Train a predictor on the synthetic suite and save it. The model
+//       file (format v6) carries the fitted feature normaliser, so predict
+//       and serve need nothing but the file; the --seed/--scale used here
+//       are recorded too and default evaluate/report's test suite.
+//       --batch-size B runs B circuits' forward/backward
 //       concurrently per optimiser step with gradients averaged in circuit
 //       order (1 = the classic one-step-per-graph schedule).
 //       --checkpoint-every N writes a crash-safe checkpoint (model + Adam
@@ -18,12 +20,16 @@
 //       run back up from such a checkpoint; the resumed run is
 //       bit-identical to an uninterrupted one, and the model/target/seed
 //       options are taken from the checkpoint, not the command line.
-//   paragraph predict --model MODEL.bin --netlist FILE.sp
+//   paragraph predict --model MODEL.bin --netlist FILE.sp [--drift-warn X]
 //       Predict the model's target for every net/transistor of a SPICE
-//       netlist (pre-layout: no annotation needed).
+//       netlist (pre-layout: no annotation needed). Normalises with the
+//       model file's own normaliser; files older than format v6 rebuild
+//       it from their recorded seed/scale, with a warning.
 //   paragraph evaluate --model MODEL.bin [--scale F] [--seed N]
 //                      [--quality-out PATH] [--drift-warn X]
-//       Evaluate a saved model on the generated test circuits.
+//       Evaluate a saved model on the generated test circuits. --seed and
+//       --scale (default: the values recorded in the model) choose the
+//       test suite only; the model's own normaliser is always used.
 //       --quality-out writes the paragraph-quality-v1 JSON block
 //       (per-decade/target/edge-type accounting, worst nets); with
 //       --metrics-out the same accounting also lands as quality.* gauges.
@@ -37,7 +43,8 @@
 //       dashboard: PREFIX.md (human-readable) and PREFIX.json
 //       (paragraph-quality-v1). --prior compares against a previous run's
 //       --metrics-out dump. --ensemble ENS reads a CapEnsemble manifest
-//       instead of a single model.
+//       instead of a single model. --seed/--scale choose the test suite,
+//       as for evaluate.
 //   paragraph annotate --netlist FILE.sp [--seed N]
 //       Run the procedural layout and emit the annotated netlist to stdout.
 //   paragraph dataset pack --out DIR [--seed N] [--scale F]
@@ -449,9 +456,7 @@ int cmd_train(const util::ArgParser& args) {
               dataset::target_name(pc.target), pc.epochs);
   core::GnnPredictor& predictor = *predictor_slot;
   const auto eval_pooled = [&]() {
-    return (store ? predictor.evaluate(*store)
-                  : predictor.evaluate(*ds_slot, ds_slot->test))
-        .pooled();
+    return (store ? predictor.evaluate(*store) : predictor.evaluate(ds_slot->test)).pooled();
   };
   // Per-epoch telemetry: every record lands in the metrics series /
   // debug log from inside train(); this callback adds periodic test-set
@@ -504,16 +509,10 @@ int cmd_predict(const util::ArgParser& args) {
     return 2;
   }
   const core::GnnPredictor predictor = core::load_predictor(model_path);
-  // The saved model's normaliser statistics live in the dataset; rebuild it
-  // with the seed and scale recorded in the model config (an explicit
-  // --scale overrides, e.g. for models saved before scale was persisted).
-  const double scale =
-      args.has("scale") ? args.get_double("scale", 0.25) : predictor.config().scale;
-  const auto ds = dataset::build_dataset(predictor.config().seed, scale);
   const auto sample = sample_from_netlist(circuit::parse_spice_file(netlist_path));
   run_drift_check(predictor.feature_sketches(), std::span(&sample, 1),
                   args.get_double("drift-warn", eval::kDefaultDriftWarnThreshold));
-  const auto preds = predictor.predict_all(ds, sample);
+  const auto preds = predictor.predict_all(sample);
   const auto target = predictor.config().target;
   std::printf("# %s predictions for %s\n", dataset::target_name(target), netlist_path.c_str());
   std::size_t k = 0;
@@ -560,11 +559,11 @@ int cmd_evaluate(const util::ArgParser& args) {
     return 0;
   }
 
-  const double scale =
-      args.has("scale") ? args.get_double("scale", 0.25) : predictor.config().scale;
+  // --seed/--scale pick the test suite (default: the training suite's);
+  // normalisation always uses the model's own persisted statistics.
   const auto ds = dataset::build_dataset(
       static_cast<std::uint64_t>(args.get_int("seed", static_cast<long>(predictor.config().seed))),
-      scale);
+      args.get_double("scale", predictor.config().scale));
   // Quality accounting is post-processing over the evaluation results the
   // command produces anyway, so it runs whenever anyone can see it: an
   // explicit --quality-out, or the obs layer (gauges land in
@@ -576,7 +575,7 @@ int cmd_evaluate(const util::ArgParser& args) {
 
   core::EvalResult res;
   if (want_quality) {
-    const eval::QualityAccumulator q = core::collect_quality(predictor, ds, ds.test, &res);
+    const eval::QualityAccumulator q = core::collect_quality(predictor, ds.test, &res);
     q.publish();
     if (!quality_out.empty()) {
       const obs::JsonValue doc =
@@ -590,7 +589,7 @@ int cmd_evaluate(const util::ArgParser& args) {
                      quality_out.c_str());
     }
   } else {
-    res = predictor.evaluate(ds, ds.test);
+    res = predictor.evaluate(ds.test);
   }
   print_result(res);
   return 0;
@@ -606,7 +605,7 @@ int cmd_report(const util::ArgParser& args) {
   }
   const double drift_warn = args.get_double("drift-warn", eval::kDefaultDriftWarnThreshold);
 
-  // Load the model(s), rebuild the recorded dataset, collect quality.
+  // Load the model(s), build the test suite, collect quality.
   std::optional<core::GnnPredictor> model;
   std::optional<core::CapEnsemble> ensemble;
   const core::PredictorConfig* cfg;
@@ -620,13 +619,13 @@ int cmd_report(const util::ArgParser& args) {
     cfg = &ensemble->model(0).config();
     drift_ref = &ensemble->model(0).feature_sketches();
   }
-  const double scale = args.has("scale") ? args.get_double("scale", 0.25) : cfg->scale;
   const auto ds = dataset::build_dataset(
-      static_cast<std::uint64_t>(args.get_int("seed", static_cast<long>(cfg->seed))), scale);
+      static_cast<std::uint64_t>(args.get_int("seed", static_cast<long>(cfg->seed))),
+      args.get_double("scale", cfg->scale));
 
   const auto drift = run_drift_check(*drift_ref, ds.test, drift_warn);
-  eval::QualityAccumulator q = model ? core::collect_quality(*model, ds, ds.test)
-                                     : core::collect_quality(*ensemble, ds, ds.test);
+  eval::QualityAccumulator q =
+      model ? core::collect_quality(*model, ds.test) : core::collect_quality(*ensemble, ds.test);
   q.publish();
 
   const std::string source = !model_path.empty() ? model_path : ensemble_path;
