@@ -35,6 +35,13 @@
 #                                          # snapshot vs concurrent writers,
 #                                          # histogram quantile edges, trace/
 #                                          # log plumbing) under all three
+#   scripts/run_sanitizers.sh inference    # the inference label (no-grad
+#                                          # guard semantics, tape-free vs
+#                                          # taped byte-identity, tape-free
+#                                          # Matrix peak, plan-cache
+#                                          # equivalence) under all three
+#                                          # sanitizers: tape-free forwards
+#                                          # free intermediates mid-forward
 #   scripts/run_sanitizers.sh chaos        # the chaos label: the hostile-
 #                                          # conditions soak (torn frames,
 #                                          # slowloris, socket fault schedules,
@@ -54,6 +61,7 @@ case "${1:-}" in
   scale) shift; set -- -L scale "$@" ;;
   serve) shift; set -- -L serve "$@" ;;
   obs) shift; set -- -L obs "$@" ;;
+  inference) shift; set -- -L inference "$@" ;;
   chaos)
     shift; set -- -L chaos "$@"
     # The soak needs real wall-clock to breed rare interleavings; 30s per

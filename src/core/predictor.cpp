@@ -754,27 +754,13 @@ std::vector<float> GnnPredictor::predict_all(const Sample& sample) const {
 std::vector<float> GnnPredictor::predict_all(const Sample& sample,
                                              const gnn::GraphPlan& plan) const {
   PARAGRAPH_TIMED_SCOPE("predict");
-  const auto& types = dataset::target_node_types(config_.target);
-  const GraphBatch batch = make_batch(sample.graph, &plan);
-  gnn::TypeTensors emb = embedding_->embed(batch);
   std::vector<float> out;
-  for (std::size_t slot = 0; slot < types.size(); ++slot) {
-    const Tensor& z = emb[static_cast<std::size_t>(types[slot])];
-    if (!z.defined()) {
-      // Keep positional alignment with target_values by emitting zeros.
-      out.resize(out.size() + sample.target_values(config_.target, slot).size(), 0.0f);
-      continue;
-    }
-    const Tensor pred = head_->forward(z);
-    for (std::size_t i = 0; i < pred.rows(); ++i)
-      out.push_back(scaler_.inverse(pred.value()(i, 0)));
-  }
+  infer(sample, [&] { return embedding_->embed(make_batch(sample.graph, &plan)); }, &out);
   return out;
 }
 
 std::vector<float> GnnPredictor::predict_all(const Sample& sample, gnn::PlanCache& cache) const {
   PARAGRAPH_TIMED_SCOPE("predict");
-  std::array<nn::Matrix, graph::kNumNodeTypes> z;
   const auto embed_fn = [&](const graph::HeteroGraph& g,
                             const gnn::GraphPlan& plan) -> gnn::TypeTensors {
     return embedding_->embed(make_batch(g, &plan));
@@ -782,29 +768,26 @@ std::vector<float> GnnPredictor::predict_all(const Sample& sample, gnn::PlanCach
   // Memoized embeddings depend on the weights AND the normalisation the
   // batch builder applies, so both feed the cache key.
   const std::uint64_t key = model_key_ ^ (normalizer_.fingerprint() * 0x9e3779b97f4a7c15ULL);
-  if (!cache.embed_hierarchical(sample.netlist, sample.graph, config_.num_layers, needs_homo(),
-                                key, embed_fn, &z))
-    return predict_all(sample);
-
-  const auto& types = dataset::target_node_types(config_.target);
   std::vector<float> out;
-  for (std::size_t slot = 0; slot < types.size(); ++slot) {
-    const nn::Matrix& m = z[static_cast<std::size_t>(types[slot])];
-    if (m.rows() == 0) {
-      // Keep positional alignment with target_values by emitting zeros.
-      out.resize(out.size() + sample.target_values(config_.target, slot).size(), 0.0f);
-      continue;
+  infer(sample, [&] {
+    std::array<Matrix, graph::kNumNodeTypes> z;
+    if (!cache.embed_hierarchical(sample.netlist, sample.graph, config_.num_layers, needs_homo(),
+                                  key, embed_fn, &z)) {
+      const gnn::GraphPlan plan = gnn::GraphPlan::build(sample.graph, needs_homo());
+      return embed_fn(sample.graph, plan);
     }
-    const Tensor pred = head_->forward(Tensor(m));
-    for (std::size_t i = 0; i < pred.rows(); ++i)
-      out.push_back(scaler_.inverse(pred.value()(i, 0)));
-  }
+    gnn::TypeTensors emb;
+    for (std::size_t t = 0; t < graph::kNumNodeTypes; ++t)
+      if (z[t].rows() != 0) emb[t] = Tensor(std::move(z[t]));
+    return emb;
+  }, &out);
   return out;
 }
 
 nn::Matrix GnnPredictor::embeddings(const Sample& sample, NodeType type) const {
   const gnn::GraphPlan plan = gnn::GraphPlan::build(sample.graph, needs_homo());
-  const gnn::TypeTensors emb = embedding_->embed(make_batch(sample.graph, &plan));
+  const gnn::TypeTensors emb =
+      infer(sample, [&] { return embedding_->embed(make_batch(sample.graph, &plan)); }, nullptr);
   const Tensor& z = emb[static_cast<std::size_t>(type)];
   return z.defined() ? z.value() : Matrix();
 }
@@ -814,8 +797,28 @@ gnn::AttentionRecord GnnPredictor::attention_analysis(const Sample& sample) cons
   GraphBatch batch = make_batch(sample.graph, &plan);
   gnn::AttentionRecord record;
   batch.attention_out = &record;
-  embedding_->embed(batch);
+  infer(sample, [&] { return embedding_->embed(batch); }, nullptr);
   return record;
+}
+
+gnn::TypeTensors GnnPredictor::infer(const Sample& sample,
+                                     const std::function<gnn::TypeTensors()>& embed,
+                                     std::vector<float>* pred) const {
+  const nn::NoGradGuard no_grad;
+  gnn::TypeTensors emb = embed();
+  if (pred == nullptr) return emb;
+  const auto& types = dataset::target_node_types(config_.target);
+  for (std::size_t slot = 0; slot < types.size(); ++slot) {
+    const Tensor& z = emb[static_cast<std::size_t>(types[slot])];
+    if (!z.defined()) {
+      // Keep positional alignment with target_values by emitting zeros.
+      pred->resize(pred->size() + sample.target_values(config_.target, slot).size(), 0.0f);
+      continue;
+    }
+    const Tensor y = head_->forward(z);
+    for (std::size_t i = 0; i < y.rows(); ++i) pred->push_back(scaler_.inverse(y.value()(i, 0)));
+  }
+  return emb;
 }
 
 std::size_t GnnPredictor::num_parameters() const {

@@ -271,6 +271,16 @@ class GnnPredictor {
   std::shared_ptr<const Prepared> prepare_sample(const dataset::Sample& s,
                                                  std::shared_ptr<const dataset::Sample> owned) const;
   gnn::GraphBatch make_batch(const graph::HeteroGraph& g, const gnn::GraphPlan* plan) const;
+  // The one inference forward behind predict_all, embeddings and
+  // attention_analysis (and so evaluate, CapEnsemble, report, the CLI and
+  // serve). Opens an nn::NoGradGuard, so no op records a backward closure
+  // and each intermediate is freed once its consumer returns; takes the
+  // per-type embeddings from `embed` and, when `pred` is non-null, appends
+  // the head's raw-unit outputs for the sample's target node types to it.
+  // train() keeps the tape.
+  gnn::TypeTensors infer(const dataset::Sample& sample,
+                         const std::function<gnn::TypeTensors()>& embed,
+                         std::vector<float>* pred) const;
   CircuitPrediction evaluate_circuit(const dataset::Sample& s) const;
 
   PredictorConfig config_;

@@ -110,6 +110,7 @@ Tensor gather_rows(const Tensor& a, const IndexHandle& idx) {
       for (std::size_t j = 0; j < f; ++j) dst[j] = src[j];
     }
   });
+  if (!records_backward(a)) return Tensor(std::move(out));
   return Tensor::from_op(std::move(out), {a}, [a, idx, f](const Matrix& g) {
     Matrix ga(a.rows(), f, 0.0f);
     scatter_into(ga, *idx, [&](std::size_t lo, std::size_t hi, Matrix& t) {
@@ -142,6 +143,7 @@ Tensor scatter_add_rows(const Tensor& a, const IndexHandle& idx, std::size_t num
       for (std::size_t j = 0; j < f; ++j) dst[j] += src[j];
     }
   });
+  if (!records_backward(a)) return Tensor(std::move(out));
   return Tensor::from_op(std::move(out), {a}, [a, idx, f](const Matrix& g) {
     Matrix ga(idx->size(), f);
     runtime::parallel_for("graph.edges", idx->size(), kEdgeGrain, [&](std::size_t lo, std::size_t hi) {
@@ -168,6 +170,7 @@ Tensor segment_softmax(const Tensor& logits, const SegmentIndex& seg) {
   count_op("nn.segment_softmax.calls", "nn.segment_softmax.edges", logits.rows());
   Matrix out(logits.rows(), 1);
   softmax_over_segments(logits.value(), seg, out);
+  if (!records_backward(logits)) return Tensor(std::move(out));
   Matrix alpha = out;  // backward needs the outputs
   return Tensor::from_op(std::move(out), {logits},
                          [logits, seg, alpha = std::move(alpha)](const Matrix& g) {
@@ -200,6 +203,7 @@ Tensor scale_rows_by(const Tensor& a, const Tensor& w) {
       for (std::size_t j = 0; j < f; ++j) r[j] *= c;
     }
   });
+  if (!records_backward(a, w)) return Tensor(std::move(out));
   return Tensor::from_op(std::move(out), {a, w}, [a, w, f](const Matrix& g) {
     Matrix ga(g.rows(), f);
     Matrix gw(g.rows(), 1);
@@ -233,6 +237,7 @@ Tensor scale_rows(const Tensor& a, const CoeffHandle& coeffs) {
       for (std::size_t j = 0; j < out.cols(); ++j) r[j] *= (*coeffs)[i];
     }
   });
+  if (!records_backward(a)) return Tensor(std::move(out));
   return Tensor::from_op(std::move(out), {a}, [a, coeffs](const Matrix& g) {
     Matrix ga = g;
     runtime::parallel_for("graph.rows", ga.rows(), kRowGrain, [&](std::size_t lo, std::size_t hi) {
@@ -271,6 +276,7 @@ Tensor scatter_mean_rows(const Tensor& a, const IndexHandle& idx, const CoeffHan
       for (std::size_t j = 0; j < f; ++j) r[j] *= c;
     }
   });
+  if (!records_backward(a)) return Tensor(std::move(out));
   return Tensor::from_op(std::move(out), {a}, [a, idx, inv, f](const Matrix& g) {
     // d a[e] = g[idx[e]] * inv[idx[e]]: the scatter's gradient copy and the
     // mean's scaling folded into one pass.
@@ -341,6 +347,7 @@ Tensor gather_matmul(const Tensor& a, const CompactIndex& ci, const Tensor& w) {
       for (std::size_t j = 0; j < fout; ++j) dst[j] = src[j];
     }
   });
+  if (!records_backward(a, w)) return Tensor(std::move(out));
   return Tensor::from_op(
       std::move(out), {a, w},
       [a, w, ci, compact = std::move(compact), fin, fout, u](const Matrix& g) {
@@ -398,15 +405,17 @@ Tensor edge_attention(const Tensor& el, const Tensor& er, const Tensor& msg,
   count_op("nn.edge_attention.calls", "nn.edge_attention.edges", e_total);
 
   const std::size_t f = msg.cols();
-  // logit -> leaky-relu -> per-segment softmax, all in one pass over E.
-  Matrix logit(e_total, 1);
+  const bool backward = records_backward(el, er, msg);
+  // logit -> leaky-relu -> per-segment softmax, all in one pass over E. The
+  // pre-activation logit is kept only for the backward pass.
+  Matrix logit(backward ? e_total : 0, 1);
   Matrix z(e_total, 1);
   runtime::parallel_for("graph.edges", e_total, kEdgeGrain, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t e = lo; e < hi; ++e) {
       const std::size_t li = el_idx ? static_cast<std::size_t>((*el_idx)[e]) : e;
       const std::size_t ri = er_idx ? static_cast<std::size_t>((*er_idx)[e]) : e;
       const float v = el.value()(li, 0) + er.value()(ri, 0);
-      logit(e, 0) = v;
+      if (backward) logit(e, 0) = v;
       z(e, 0) = v > 0.0f ? v : negative_slope * v;
     }
   });
@@ -424,6 +433,7 @@ Tensor edge_attention(const Tensor& el, const Tensor& er, const Tensor& msg,
     }
   });
 
+  if (!backward) return Tensor(std::move(out));
   return Tensor::from_op(
       std::move(out), {el, er, msg},
       [el, er, msg, el_idx, er_idx, dst, seg, negative_slope, f, e_total,

@@ -21,6 +21,10 @@
 //                        distinct source row once instead of all rows
 //   edge_attention     = gather + add + leaky-relu + segment-softmax +
 //                        scale + scatter in one forward/backward pair
+//
+// Like the dense ops, every kernel skips its closure and the buffers only
+// backward reads (edge_attention's logits, segment_softmax's alpha copy)
+// when tensor.h's records_backward() is false.
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,6 @@
 #include "nn/ops.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -41,6 +42,7 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
     flops.add(2ull * a.rows() * a.cols() * b.cols());
   }
   Matrix out = gemm(a.value(), b.value());
+  if (!records_backward(a, b)) return Tensor(std::move(out));
   return Tensor::from_op(std::move(out), {a, b}, [a, b](const Matrix& g) {
     a.accumulate_grad(gemm_nt(g, b.value()));
     b.accumulate_grad(gemm_tn(a.value(), g));
@@ -51,6 +53,7 @@ Tensor add(const Tensor& a, const Tensor& b) {
   check_same_shape(a, b, "add");
   Matrix out = a.value();
   add_inplace(out, b.value());
+  if (!records_backward(a, b)) return Tensor(std::move(out));
   return Tensor::from_op(std::move(out), {a, b}, [a, b](const Matrix& g) {
     a.accumulate_grad(g);
     b.accumulate_grad(g);
@@ -61,6 +64,7 @@ Tensor sub(const Tensor& a, const Tensor& b) {
   check_same_shape(a, b, "sub");
   Matrix out = a.value();
   axpy_inplace(out, -1.0f, b.value());
+  if (!records_backward(a, b)) return Tensor(std::move(out));
   return Tensor::from_op(std::move(out), {a, b}, [a, b](const Matrix& g) {
     a.accumulate_grad(g);
     Matrix ng = g;
@@ -77,6 +81,7 @@ Tensor mul(const Tensor& a, const Tensor& b) {
   par_elements(out.size(), [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) out.data()[i] *= b.value().data()[i];
   });
+  if (!records_backward(a, b)) return Tensor(std::move(out));
   return Tensor::from_op(std::move(out), {a, b}, [a, b](const Matrix& g) {
     Matrix ga = g;
     par_elements(ga.size(), [&](std::size_t lo, std::size_t hi) {
@@ -102,6 +107,7 @@ Tensor add_bias(const Tensor& a, const Tensor& bias) {
       for (std::size_t j = 0; j < out.cols(); ++j) r[j] += b[j];
     }
   });
+  if (!records_backward(a, bias)) return Tensor(std::move(out));
   return Tensor::from_op(std::move(out), {a, bias}, [a, bias](const Matrix& g) {
     a.accumulate_grad(g);
     Matrix gb(1, g.cols(), 0.0f);
@@ -122,6 +128,7 @@ Tensor scale(const Tensor& a, float alpha) {
   par_elements(out.size(), [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) out.data()[i] *= alpha;
   });
+  if (!records_backward(a)) return Tensor(std::move(out));
   return Tensor::from_op(std::move(out), {a}, [a, alpha](const Matrix& g) {
     Matrix ga = g;
     par_elements(ga.size(), [&](std::size_t lo, std::size_t hi) {
@@ -147,6 +154,7 @@ Tensor concat_cols(const Tensor& a, const Tensor& b) {
       for (std::size_t j = 0; j < cb; ++j) r[ca + j] = rb[j];
     }
   });
+  if (!records_backward(a, b)) return Tensor(std::move(out));
   return Tensor::from_op(std::move(out), {a, b}, [a, b, ca, cb](const Matrix& g) {
     Matrix ga(g.rows(), ca);
     Matrix gb(g.rows(), cb);
@@ -182,6 +190,9 @@ Tensor concat_rows(const std::vector<Tensor>& ts) {
       for (std::size_t j = 0; j < cols; ++j) d[j] = s[j];
     }
   }
+  if (!grad_enabled() ||
+      std::none_of(inputs.begin(), inputs.end(), [](const Tensor& t) { return t.needs_backward(); }))
+    return Tensor(std::move(out));
   return Tensor::from_op(std::move(out), inputs, [inputs, cols](const Matrix& g) {
     std::size_t r = 0;
     for (const Tensor& t : inputs) {
@@ -201,6 +212,7 @@ Tensor relu(const Tensor& a) {
   par_elements(out.size(), [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) out.data()[i] = std::max(0.0f, out.data()[i]);
   });
+  if (!records_backward(a)) return Tensor(std::move(out));
   return Tensor::from_op(std::move(out), {a}, [a](const Matrix& g) {
     Matrix ga = g;
     par_elements(ga.size(), [&](std::size_t lo, std::size_t hi) {
@@ -219,6 +231,7 @@ Tensor leaky_relu(const Tensor& a, float negative_slope) {
       out.data()[i] = v > 0.0f ? v : negative_slope * v;
     }
   });
+  if (!records_backward(a)) return Tensor(std::move(out));
   return Tensor::from_op(std::move(out), {a}, [a, negative_slope](const Matrix& g) {
     Matrix ga = g;
     par_elements(ga.size(), [&](std::size_t lo, std::size_t hi) {
@@ -235,6 +248,7 @@ Tensor sigmoid(const Tensor& a) {
     for (std::size_t i = lo; i < hi; ++i)
       out.data()[i] = 1.0f / (1.0f + std::exp(-out.data()[i]));
   });
+  if (!records_backward(a)) return Tensor(std::move(out));
   Matrix y = out;  // backward needs the output value
   return Tensor::from_op(std::move(out), {a}, [a, y = std::move(y)](const Matrix& g) {
     Matrix ga = g;
@@ -251,6 +265,7 @@ Tensor tanh_op(const Tensor& a) {
   par_elements(out.size(), [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) out.data()[i] = std::tanh(out.data()[i]);
   });
+  if (!records_backward(a)) return Tensor(std::move(out));
   Matrix y = out;
   return Tensor::from_op(std::move(out), {a}, [a, y = std::move(y)](const Matrix& g) {
     Matrix ga = g;
@@ -278,6 +293,7 @@ Tensor row_l2_normalize(const Tensor& a, float eps) {
       for (std::size_t j = 0; j < x.cols(); ++j) o[j] = r[j] * inv;
     }
   });
+  if (!records_backward(a)) return Tensor(std::move(out));
   return Tensor::from_op(std::move(out), {a},
                          [a, norms = std::move(norms), eps](const Matrix& g) {
     // d/dx (x/||x||) = (I - y y^T)/||x|| with y = x/||x||.
@@ -313,6 +329,7 @@ Tensor scale_rows(const Tensor& a, const std::vector<float>& coeffs) {
       for (std::size_t j = 0; j < out.cols(); ++j) r[j] *= coeffs[i];
     }
   });
+  if (!records_backward(a)) return Tensor(std::move(out));
   return Tensor::from_op(std::move(out), {a}, [a, coeffs](const Matrix& g) {
     Matrix ga = g;
     par_rows(ga.rows(), [&](std::size_t lo, std::size_t hi) {
@@ -344,6 +361,7 @@ Tensor mse_loss(const Tensor& pred, const Matrix& target) {
     acc += d * d;
   }
   Matrix out(1, 1, std::vector<float>{static_cast<float>(acc / static_cast<double>(n))});
+  if (!records_backward(pred)) return Tensor(std::move(out));
   return Tensor::from_op(std::move(out), {pred}, [pred, target, n](const Matrix& g) {
     const float go = g(0, 0);
     Matrix gp(pred.rows(), pred.cols());
@@ -364,6 +382,7 @@ Tensor l1_loss(const Tensor& pred, const Matrix& target) {
   for (std::size_t i = 0; i < n; ++i)
     acc += std::abs(pred.value().data()[i] - target.data()[i]);
   Matrix out(1, 1, std::vector<float>{static_cast<float>(acc / static_cast<double>(n))});
+  if (!records_backward(pred)) return Tensor(std::move(out));
   return Tensor::from_op(std::move(out), {pred}, [pred, target, n](const Matrix& g) {
     const float go = g(0, 0);
     Matrix gp(pred.rows(), pred.cols());

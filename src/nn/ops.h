@@ -1,6 +1,8 @@
 // Differentiable dense ops. Each returns a new Tensor whose backward
-// closure propagates gradients to the inputs. Shapes are validated eagerly
-// so graph-construction errors fail at the call site, not inside backward().
+// closure propagates gradients to the inputs; under a NoGradGuard, or when
+// no input needs a gradient, it returns a plain value node instead (see
+// tensor.h). Shapes are validated eagerly in both modes so graph-
+// construction errors fail at the call site, not inside backward().
 #pragma once
 
 #include <vector>

@@ -5,6 +5,16 @@
 
 namespace paragraph::nn {
 
+namespace {
+thread_local bool t_grad_enabled = true;
+}  // namespace
+
+bool grad_enabled() { return t_grad_enabled; }
+
+NoGradGuard::NoGradGuard() : prev_(t_grad_enabled) { t_grad_enabled = false; }
+
+NoGradGuard::~NoGradGuard() { t_grad_enabled = prev_; }
+
 Tensor::Tensor(Matrix value, bool requires_grad) : node_(std::make_shared<Node>()) {
   node_->value = std::move(value);
   node_->requires_grad = requires_grad;
@@ -17,8 +27,10 @@ Tensor Tensor::from_op(Matrix value, std::vector<Tensor> parents,
   t.node_ = std::make_shared<Node>();
   t.node_->value = std::move(value);
   bool needs = false;
-  for (const auto& p : parents) {
-    if (p.defined() && p.node_->needs_backward) needs = true;
+  if (t_grad_enabled) {
+    for (const auto& p : parents) {
+      if (p.needs_backward()) needs = true;
+    }
   }
   t.node_->needs_backward = needs;
   if (needs) {

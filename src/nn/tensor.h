@@ -1,11 +1,18 @@
 // Reverse-mode automatic differentiation over Matrix values.
 //
 // A Tensor is a cheap shared handle to a node in an implicit compute DAG.
-// Every differentiable op (see ops.h / graph_ops.h) creates a fresh node
-// whose backward closure scatters the incoming gradient to its parents.
+// While grad mode is on (the default) and some input needs a gradient, a
+// differentiable op (see ops.h / graph_ops.h) creates a fresh node whose
+// backward closure scatters the incoming gradient to its parents.
 // Training builds a new DAG per step; calling backward() on the (scalar)
 // loss runs a topological sweep and accumulates gradients into every node
 // with requires_grad set (typically the Parameters of a Module).
+//
+// Inference runs under a NoGradGuard instead. Grad mode is then off for
+// the calling thread: ops return plain value nodes that hold no parents
+// and no closure, so an intermediate is freed as soon as its last consumer
+// drops its handle. The forward arithmetic is the same in both modes, so
+// the values are bit-identical.
 #pragma once
 
 #include <functional>
@@ -26,6 +33,8 @@ class Tensor {
   // Interior node produced by an op. `backward` receives the gradient
   // w.r.t. this node's value and must push gradients into the parents via
   // accumulate_grad(). Pass an empty function for non-differentiable ops.
+  // With grad mode off, or no parent needing a gradient, the node keeps
+  // neither the parents nor `backward`.
   static Tensor from_op(Matrix value, std::vector<Tensor> parents,
                         std::function<void(const Matrix& grad_out)> backward);
 
@@ -36,6 +45,10 @@ class Tensor {
   std::size_t cols() const { return node_->value.cols(); }
 
   bool requires_grad() const { return node_->requires_grad; }
+
+  // True when this node takes part in backprop: it, or an ancestor
+  // recorded while grad mode was on, requires a gradient.
+  bool needs_backward() const { return defined() && node_->needs_backward; }
 
   // Gradient accumulated by the last backward(); zero matrix if untouched.
   const Matrix& grad() const;
@@ -66,5 +79,33 @@ class Tensor {
 
   std::shared_ptr<Node> node_;
 };
+
+// Whether ops on the calling thread record backward closures. Per thread,
+// so a training step on one thread keeps its tape while another thread
+// runs inference.
+bool grad_enabled();
+
+// Turns grad mode off for the calling thread for the guard's lifetime and
+// restores the previous mode on exit (also when unwinding an exception),
+// so guards nest.
+class NoGradGuard {
+ public:
+  NoGradGuard();
+  ~NoGradGuard();
+  NoGradGuard(const NoGradGuard&) = delete;
+  NoGradGuard& operator=(const NoGradGuard&) = delete;
+
+ private:
+  bool prev_;
+};
+
+// True when an op over `inputs` must record its backward closure: grad mode
+// is on and some input needs a gradient. Ops test it once, before building
+// the closure or any buffer only backward reads, and otherwise return a
+// plain Tensor(value).
+template <typename... Ts>
+bool records_backward(const Ts&... inputs) {
+  return grad_enabled() && (inputs.needs_backward() || ...);
+}
 
 }  // namespace paragraph::nn

@@ -1,9 +1,17 @@
 // Numerical gradient checks for every differentiable op in nn/ops.h and
-// nn/graph_ops.h, plus structural tests of the tape (diamonds, scalars).
+// nn/graph_ops.h, structural tests of the tape (diamonds, scalars), and the
+// semantics of the thread-local no-grad mode inference runs under.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <stdexcept>
+#include <thread>
+
+#include "core/predictor.h"
 #include "nn/graph_ops.h"
+#include "nn/module.h"
 #include "nn/ops.h"
+#include "runtime/thread_pool.h"
 #include "test_util.h"
 
 namespace paragraph::nn {
@@ -240,6 +248,123 @@ TEST(Autograd, NoGradThroughConstants) {
   EXPECT_GT(std::abs(b.grad()(0, 0)), 0.0f);
   // Constant leaf keeps a zero gradient buffer.
   EXPECT_FLOAT_EQ(a.grad()(0, 0), 0.0f);
+}
+
+TEST(NoGradGuard, NestedGuardsRestoreTheOuterState) {
+  ASSERT_TRUE(grad_enabled());
+  {
+    const NoGradGuard outer;
+    EXPECT_FALSE(grad_enabled());
+    {
+      const NoGradGuard inner;
+      EXPECT_FALSE(grad_enabled());
+    }
+    EXPECT_FALSE(grad_enabled());
+  }
+  EXPECT_TRUE(grad_enabled());
+}
+
+TEST(NoGradGuard, ExceptionInsideAGuardRestoresTheState) {
+  const Tensor a(Matrix(2, 2, 1.0f), true);
+  const Tensor b(Matrix(3, 2, 1.0f), true);
+  try {
+    const NoGradGuard no_grad;
+    add(a, b);  // shape mismatch
+    FAIL() << "add accepted mismatched shapes";
+  } catch (const std::invalid_argument&) {
+  }
+  EXPECT_TRUE(grad_enabled());
+  EXPECT_TRUE(add(a, a).needs_backward());
+}
+
+TEST(NoGradGuard, OpsUnderTheGuardRecordNoTape) {
+  util::Rng rng(20);
+  const Tensor w(random_matrix(3, 2, rng), true);
+  const Tensor x(random_matrix(4, 3, rng));
+  const Tensor taped = relu(matmul(x, w));
+  Tensor tape_free;
+  {
+    const NoGradGuard no_grad;
+    tape_free = relu(matmul(x, w));
+  }
+  EXPECT_TRUE(taped.needs_backward());
+  EXPECT_FALSE(tape_free.needs_backward());
+  ASSERT_TRUE(tape_free.value().same_shape(taped.value()));
+  EXPECT_EQ(std::memcmp(tape_free.value().data(), taped.value().data(),
+                        taped.value().size() * sizeof(float)),
+            0);
+}
+
+TEST(NoGradGuard, ModeIsPerThread) {
+  const NoGradGuard no_grad;
+  util::Rng rng(21);
+  Tensor w(random_matrix(3, 2, rng), true);
+  const Tensor x(random_matrix(4, 3, rng));
+  EXPECT_FALSE(matmul(x, w).needs_backward());
+  bool enabled_on_thread = false;
+  float grad_abs = 0.0f;
+  std::thread([&] {
+    enabled_on_thread = grad_enabled();
+    mse_loss(matmul(x, w), ones_target(4, 2)).backward();
+    for (std::size_t i = 0; i < w.grad().size(); ++i) grad_abs += std::abs(w.grad().data()[i]);
+  }).join();
+  EXPECT_TRUE(enabled_on_thread);
+  EXPECT_GT(grad_abs, 0.0f);
+  EXPECT_FALSE(grad_enabled());
+}
+
+TEST(NoGradGuard, BackwardOnAGuardedLossLeavesParameterGradientsUntouched) {
+  util::Rng rng(22);
+  const Mlp mlp({3, 4, 1}, rng);
+  const Tensor x(random_matrix(5, 3, rng));
+  mse_loss(mlp.forward(x), ones_target(5, 1)).backward();  // nonzero gradients to keep
+  std::vector<Matrix> before;
+  float grad_abs = 0.0f;
+  for (const Tensor& p : mlp.parameters()) {
+    before.push_back(p.grad());
+    for (std::size_t i = 0; i < p.grad().size(); ++i) grad_abs += std::abs(p.grad().data()[i]);
+  }
+  ASSERT_GT(grad_abs, 0.0f);
+
+  Tensor loss;
+  {
+    const NoGradGuard no_grad;
+    loss = mse_loss(mlp.forward(x), ones_target(5, 1));
+  }
+  EXPECT_FALSE(loss.needs_backward());
+  loss.backward();
+  const std::vector<Tensor> params = mlp.parameters();
+  for (std::size_t k = 0; k < params.size(); ++k) {
+    ASSERT_TRUE(params[k].grad().same_shape(before[k]));
+    EXPECT_EQ(std::memcmp(params[k].grad().data(), before[k].data(),
+                          before[k].size() * sizeof(float)),
+              0)
+        << "parameter " << k;
+  }
+}
+
+// A guard leaked by an inference entry point, on the calling thread or on
+// a pool worker, would silently stop later training steps from learning.
+TEST(NoGradGuard, InferenceLeavesLaterTrainingUnchanged) {
+  const std::size_t threads_before = runtime::num_threads();
+  runtime::set_num_threads(2);
+  const dataset::SuiteDataset ds = dataset::build_dataset(9, 0.05);
+  core::PredictorConfig cfg;
+  cfg.embed_dim = 8;
+  cfg.num_layers = 2;
+  cfg.epochs = 3;
+  cfg.batch_size = 2;  // steps run their forward/backward on pool workers
+  core::GnnPredictor fresh(cfg);
+  const std::vector<double> want = fresh.train(ds);
+
+  core::GnnPredictor used(cfg);
+  used.set_normalizer(ds.normalizer);
+  used.predict_all(ds.test.front());
+  used.evaluate(ds.test);  // one circuit per pool worker
+  EXPECT_TRUE(grad_enabled());
+  const std::vector<double> got = used.train(ds);
+  runtime::set_num_threads(threads_before);
+  EXPECT_EQ(got, want);
 }
 
 TEST(Autograd, IndexCounts) {

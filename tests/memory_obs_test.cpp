@@ -1,17 +1,23 @@
 // Tests for the Matrix byte-accounting tracker (obs/memory.h): peak/current
 // tracking across alloc/free sequences, copy/move accounting, the
 // disabled-instrumentation fast path (counters must stay untouched), the
-// /proc/self/status RSS sampler, and metric publication. Tests toggle the
+// /proc/self/status RSS sampler, and metric publication, plus the Matrix
+// peak of a tape-free predict against the taped forward. Tests toggle the
 // global obs switch and always restore it on exit.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <utility>
 
+#include "circuitgen/generator.h"
+#include "core/predictor.h"
+#include "gnn/plan.h"
 #include "nn/matrix.h"
 #include "obs/control.h"
 #include "obs/memory.h"
 #include "obs/metrics.h"
+#include "runtime/thread_pool.h"
+#include "taped_reference.h"
 
 namespace paragraph {
 namespace {
@@ -127,6 +133,43 @@ TEST(PublishMemoryMetricsTest, GaugesAndCountersLandInRegistry) {
   EXPECT_EQ(reg.counter("mem.matrix.allocs").value(), t.allocs());
   reg.reset();
   t.reset();
+}
+
+// Byte counts, not timings: deterministic at one thread. A forward that
+// keeps its tape holds every intermediate until it returns; the tape-free
+// one frees each as soon as it is consumed (24x lower peak on this deck
+// when the check was written). Fails if inference re-attaches the tape.
+TEST(TapeFreeInferenceMemory, PredictPeakIsAFractionOfTheTapedForward) {
+  const std::size_t threads_before = runtime::num_threads();
+  runtime::set_num_threads(1);
+  dataset::Sample s;
+  s.netlist = circuitgen::generate_circuit(circuitgen::paper_suite_specs(1, 1.0).at(3));
+  s.graph = graph::build_graph(s.netlist);
+  core::GnnPredictor predictor(core::PredictorConfig{});  // paper F = 32, L = 5
+  dataset::FeatureNormalizer normalizer;
+  normalizer.fit({&s.graph});
+  predictor.set_normalizer(normalizer);
+  const testing::TapedReference reference(predictor);
+  const gnn::GraphPlan plan = gnn::GraphPlan::build(s.graph, predictor.needs_homo());
+
+  ObsGuard obs(true);
+  auto& t = obs::MemTracker::instance();
+  t.reset();
+  const std::vector<float> taped = reference.predict_all(s, plan);
+  const std::uint64_t taped_peak = t.peak_bytes();
+  const std::uint64_t taped_allocs = t.allocs();
+  t.reset();
+  const std::vector<float> tape_free = predictor.predict_all(s, plan);
+  const std::uint64_t peak = t.peak_bytes();
+  const std::uint64_t allocs = t.allocs();
+  t.reset();
+  runtime::set_num_threads(threads_before);
+
+  ASSERT_EQ(tape_free, taped);
+  EXPECT_GT(peak, 0u);
+  EXPECT_LE(peak * 8, taped_peak) << "tape-free peak " << peak << " B, taped " << taped_peak
+                                  << " B";
+  EXPECT_LE(allocs, taped_allocs);
 }
 
 }  // namespace
