@@ -141,28 +141,8 @@ void BM_GatherMatmulComposed(benchmark::State& state) {
 }
 BENCHMARK(BM_GatherMatmulComposed)->Arg(1024)->Arg(16384);
 
-void BM_GatherMatmulFused(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const std::size_t e = n;
-  util::Rng rng(23);
-  nn::Tensor h(random_matrix(n, 32, 24), true);
-  nn::Tensor w(random_matrix(32, 32, 25), true);
-  std::vector<std::int32_t> src(e);
-  for (std::size_t i = 0; i < e; ++i)
-    src[i] = static_cast<std::int32_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) / 4 - 1));
-  const nn::CompactIndex ci = nn::build_compact_index(src, n);
-  const nn::Matrix target(e, 32, 0.1f);
-  for (auto _ : state) {
-    nn::Tensor msg = nn::gather_matmul(h, ci, w);
-    nn::Tensor loss = nn::mse_loss(msg, target);
-    loss.backward();
-    benchmark::DoNotOptimize(loss.item());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(e));
-}
-BENCHMARK(BM_GatherMatmulFused)->Arg(1024)->Arg(16384);
-
-// One GAT-style attention block: 6 incoming edges per destination.
+// One GAT-style attention block: 6 incoming edges per destination, with
+// node-level messages read through the source index.
 struct AttentionBench {
   std::size_t n, e;
   nn::Tensor el, er, msg;
@@ -172,7 +152,7 @@ struct AttentionBench {
     util::Rng rng(seed);
     el = nn::Tensor(random_matrix(n, 1, seed + 1), true);
     er = nn::Tensor(random_matrix(n, 1, seed + 2), true);
-    msg = nn::Tensor(random_matrix(e, 32, seed + 3), true);
+    msg = nn::Tensor(random_matrix(n, 32, seed + 3), true);
     seg.offsets.push_back(0);
     for (std::size_t s = 0; s < n; ++s) {
       for (std::size_t k = 0; k < 6; ++k) {
@@ -192,7 +172,8 @@ void BM_EdgeAttentionComposed(benchmark::State& state) {
     nn::Tensor logits =
         nn::add(nn::gather_rows(b.el, b.dst), nn::gather_rows(b.er, b.src));
     nn::Tensor alpha = nn::segment_softmax(nn::leaky_relu(logits), b.seg);
-    nn::Tensor agg = nn::scatter_add_rows(nn::scale_rows_by(b.msg, alpha), b.dst, b.n);
+    nn::Tensor agg = nn::scatter_add_rows(
+        nn::scale_rows_by(nn::gather_rows(b.msg, b.src), alpha), b.dst, b.n);
     nn::Tensor loss = nn::mse_loss(agg, target);
     loss.backward();
     benchmark::DoNotOptimize(loss.item());

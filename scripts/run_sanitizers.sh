@@ -39,9 +39,13 @@
 #                                          # guard semantics, tape-free vs
 #                                          # taped byte-identity, tape-free
 #                                          # Matrix peak, plan-cache
-#                                          # equivalence) under all three
-#                                          # sanitizers: tape-free forwards
-#                                          # free intermediates mid-forward
+#                                          # equivalence, bitwise GEMM and
+#                                          # index-reading edge_attention)
+#                                          # under all three sanitizers:
+#                                          # tape-free forwards free
+#                                          # intermediates mid-forward and
+#                                          # edge_attention reads operands
+#                                          # through edge indices
 #   scripts/run_sanitizers.sh chaos        # the chaos label: the hostile-
 #                                          # conditions soak (torn frames,
 #                                          # slowloris, socket fault schedules,

@@ -90,12 +90,11 @@ Tensor MessagePassingLayer::forward(const Tensor& h, const HomoPlan& plan) const
     case LayerPolicy::Aggregator::kAttention: {
       // Attention over the self-loop-augmented edges, so a node can keep
       // its own features (standard practice when applying GAT). Node-level
-      // logits are gathered per edge inside the fused kernel.
+      // logits and messages are read per edge inside the fused kernel.
       Tensor m = nn::matmul(h, rel_weights_[0]);
       Tensor el = nn::matmul(m, attn_dst_[0]);  // contribution of h_i (dst)
       Tensor er = nn::matmul(m, attn_src_[0]);  // contribution of h_j (src)
-      Tensor msg = nn::gather_rows(m, plan.sl_src);
-      Tensor agg = nn::edge_attention(el, er, msg, plan.sl_dst, plan.sl_src, plan.sl_dst,
+      Tensor agg = nn::edge_attention(el, er, m, plan.sl_dst, plan.sl_src, plan.sl_dst,
                                       plan.sl_dst_segments, plan.total_nodes);
       return act(nn::add_bias(agg, bias_));
     }
@@ -109,8 +108,10 @@ Tensor MessagePassingLayer::typed_attention(const Tensor& h_src, const Tensor& h
                                             const AttentionProbe& probe) const {
   PARAGRAPH_TIMED_SCOPE("attention");
   const Tensor& w = rel_weights_[policy_.per_type_weights ? ep.type_index : 0];
-  Tensor msg = nn::gather_matmul(h_src, ep.src_compact, w);  // W_t h_j per edge
-  Tensor md = nn::gather_matmul(h_dst, ep.dst_compact, w);   // W_t h_i per edge
+  // W_t h on the distinct rows each side touches; edge_attention reaches
+  // them through the compact remaps, so no per-edge copy is made.
+  Tensor msg = nn::matmul(nn::gather_rows(h_src, ep.src_compact.rows), w);  // W_t h_j
+  Tensor md = nn::matmul(nn::gather_rows(h_dst, ep.dst_compact.rows), w);   // W_t h_i
   // One attention distribution per head; head outputs averaged.
   std::vector<Tensor> heads;
   for (std::size_t hd = 0; hd < policy_.num_heads; ++hd) {
@@ -118,9 +119,9 @@ Tensor MessagePassingLayer::typed_attention(const Tensor& h_src, const Tensor& h
     Tensor er = nn::matmul(msg, attn_src_[hd]);
     const bool record = probe.record != nullptr && hd == 0;
     Matrix alpha;
-    heads.push_back(nn::edge_attention(el, er, msg, nullptr, nullptr, ep.dst,
-                                       ep.dst_segments, ep.num_dst_nodes, 0.2f,
-                                       record ? &alpha : nullptr));
+    heads.push_back(nn::edge_attention(el, er, msg, ep.dst_compact.remap,
+                                       ep.src_compact.remap, ep.dst, ep.dst_segments,
+                                       ep.num_dst_nodes, 0.2f, record ? &alpha : nullptr));
     if (record) {
       if (probe.record->layers.size() < probe.num_layers)
         probe.record->layers.resize(probe.num_layers);
@@ -149,7 +150,9 @@ TypeTensors MessagePassingLayer::forward(const TypeTensors& h, const GraphPlan& 
       // Mean aggregation within the edge-type group, transforming only the
       // source rows this relation touches.
       const Tensor& w = rel_weights_[policy_.per_type_weights ? ep.type_index : 0];
-      Tensor msg = nn::gather_matmul(h[ep.src_type], ep.src_compact, w);
+      const nn::CompactIndex& ci = ep.src_compact;
+      Tensor msg = nn::gather_rows(nn::matmul(nn::gather_rows(h[ep.src_type], ci.rows), w),
+                                   ci.remap);
       a = nn::scatter_mean_rows(msg, ep.dst, ep.inv_dst_degree, ep.num_dst_nodes);
     }
     agg[ep.dst_type] = agg[ep.dst_type].defined() ? nn::add(agg[ep.dst_type], a) : a;

@@ -6,8 +6,8 @@
 // shared index buffers (nn::IndexHandle) the kernels capture by reference
 // count, the CSR destination segments, the precomputed inverse in-degree
 // vector (previously recomputed inside the layer loop of RGCN/ParaGraph on
-// every forward), and the compact (distinct-rows) indices that let
-// gather_matmul transform only the rows an edge type touches. When built
+// every forward), and the compact (distinct-rows) indices that let a layer
+// transform only the rows an edge type touches. When built
 // with a HomoView it additionally carries the flattened-graph buffers the
 // homogeneous baselines (GCN / GraphSage / GAT) run on.
 #pragma once
@@ -36,7 +36,9 @@ struct EdgeTypePlan {
   nn::SegmentHandle dst_segments;  // one segment per destination node
   nn::CoeffHandle inv_dst_degree;  // 1/|N_r(i)|, 0 for untouched nodes
 
-  // Distinct rows each side touches; gather_matmul transforms only these.
+  // Distinct rows each side touches. A layer transforms only these rows;
+  // src_compact.remap / dst_compact.remap take an edge to its row of the
+  // transformed block (edge_attention's er_idx / el_idx).
   nn::CompactIndex src_compact;
   nn::CompactIndex dst_compact;
 

@@ -314,93 +314,23 @@ CompactIndex build_compact_index(const std::vector<std::int32_t>& edges, std::si
   return ci;
 }
 
-Tensor gather_matmul(const Tensor& a, const CompactIndex& ci, const Tensor& w) {
-  if (ci.rows == nullptr || ci.remap == nullptr)
-    throw std::invalid_argument("gather_matmul: null compact index");
-  if (a.cols() != w.rows())
-    throw std::invalid_argument("gather_matmul: inner dimensions differ");
-  check_index_bounds(*ci.rows, a.rows(), "gather_matmul");
-  check_index_bounds(*ci.remap, ci.rows->size(), "gather_matmul");
-  count_op("nn.gather_matmul.calls", "nn.gather_matmul.rows", ci.remap->size());
-  if (obs::enabled()) {
-    obs::MetricsRegistry::instance()
-        .counter("nn.gather_matmul.flops")
-        .add(2ull * ci.rows->size() * a.cols() * w.cols());
-  }
-  const std::size_t fin = a.cols();
-  const std::size_t fout = w.cols();
-  const std::size_t u = ci.rows->size();
-  Matrix compact(u, fin);
-  runtime::parallel_for("graph.rows", u, kRowGrain, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t k = lo; k < hi; ++k) {
-      const float* src = a.value().row(static_cast<std::size_t>((*ci.rows)[k]));
-      float* dst = compact.row(k);
-      for (std::size_t j = 0; j < fin; ++j) dst[j] = src[j];
-    }
-  });
-  Matrix tmp = gemm(compact, w.value());  // U x fout, each touched row once
-  Matrix out(ci.remap->size(), fout);
-  runtime::parallel_for("graph.edges", ci.remap->size(), kEdgeGrain, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t e = lo; e < hi; ++e) {
-      const float* src = tmp.row(static_cast<std::size_t>((*ci.remap)[e]));
-      float* dst = out.row(e);
-      for (std::size_t j = 0; j < fout; ++j) dst[j] = src[j];
-    }
-  });
-  if (!records_backward(a, w)) return Tensor(std::move(out));
-  return Tensor::from_op(
-      std::move(out), {a, w},
-      [a, w, ci, compact = std::move(compact), fin, fout, u](const Matrix& g) {
-        Matrix gtmp(u, fout, 0.0f);
-        scatter_into(gtmp, *ci.remap, [&](std::size_t lo, std::size_t hi, Matrix& t) {
-          for (std::size_t e = lo; e < hi; ++e) {
-            float* dst = t.row(static_cast<std::size_t>((*ci.remap)[e]));
-            const float* src = g.row(e);
-            for (std::size_t j = 0; j < fout; ++j) dst[j] += src[j];
-          }
-        });
-        w.accumulate_grad(gemm_tn(compact, gtmp));
-        const Matrix gcompact = gemm_nt(gtmp, w.value());
-        Matrix ga(a.rows(), fin, 0.0f);
-        // ci.rows entries are unique, so chunks write disjoint rows of ga.
-        runtime::parallel_for("graph.rows", u, kRowGrain, [&](std::size_t lo, std::size_t hi) {
-          for (std::size_t k = lo; k < hi; ++k) {
-            float* dst = ga.row(static_cast<std::size_t>((*ci.rows)[k]));
-            const float* src = gcompact.row(k);
-            for (std::size_t j = 0; j < fin; ++j) dst[j] = src[j];
-          }
-        });
-        a.accumulate_grad(ga);
-      });
-}
-
 Tensor edge_attention(const Tensor& el, const Tensor& er, const Tensor& msg,
                       const IndexHandle& el_idx, const IndexHandle& er_idx,
                       const IndexHandle& dst, const SegmentHandle& seg,
                       std::size_t num_out_rows, float negative_slope, Matrix* alpha_out) {
-  if (dst == nullptr || seg == nullptr)
-    throw std::invalid_argument("edge_attention: null dst/segment handle");
+  if (el_idx == nullptr || er_idx == nullptr || dst == nullptr || seg == nullptr)
+    throw std::invalid_argument("edge_attention: null index handle");
   const std::size_t e_total = dst->size();
-  if (msg.rows() != e_total)
-    throw std::invalid_argument("edge_attention: message rows must equal edge count");
+  if (el_idx->size() != e_total || er_idx->size() != e_total)
+    throw std::invalid_argument("edge_attention: el/er index must have one entry per edge");
   if (el.cols() != 1 || er.cols() != 1)
     throw std::invalid_argument("edge_attention: logits must be column vectors");
-  if (el_idx == nullptr && el.rows() != e_total)
-    throw std::invalid_argument("edge_attention: per-edge el must have one row per edge");
-  if (er_idx == nullptr && er.rows() != e_total)
-    throw std::invalid_argument("edge_attention: per-edge er must have one row per edge");
-  if (el_idx != nullptr) {
-    if (el_idx->size() != e_total)
-      throw std::invalid_argument("edge_attention: el index must have one entry per edge");
-    check_index_bounds(*el_idx, el.rows(), "edge_attention");
-  }
-  if (er_idx != nullptr) {
-    if (er_idx->size() != e_total)
-      throw std::invalid_argument("edge_attention: er index must have one entry per edge");
-    check_index_bounds(*er_idx, er.rows(), "edge_attention");
-  }
+  if (msg.rows() != er.rows())
+    throw std::invalid_argument("edge_attention: message rows must equal er rows");
   if (seg->num_elements() != e_total)
     throw std::invalid_argument("edge_attention: segment index does not cover edges");
+  check_index_bounds(*el_idx, el.rows(), "edge_attention");
+  check_index_bounds(*er_idx, er.rows(), "edge_attention");
   check_index_bounds(*dst, num_out_rows, "edge_attention");
   count_op("nn.edge_attention.calls", "nn.edge_attention.edges", e_total);
 
@@ -412,9 +342,8 @@ Tensor edge_attention(const Tensor& el, const Tensor& er, const Tensor& msg,
   Matrix z(e_total, 1);
   runtime::parallel_for("graph.edges", e_total, kEdgeGrain, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t e = lo; e < hi; ++e) {
-      const std::size_t li = el_idx ? static_cast<std::size_t>((*el_idx)[e]) : e;
-      const std::size_t ri = er_idx ? static_cast<std::size_t>((*er_idx)[e]) : e;
-      const float v = el.value()(li, 0) + er.value()(ri, 0);
+      const float v = el.value()(static_cast<std::size_t>((*el_idx)[e]), 0) +
+                      er.value()(static_cast<std::size_t>((*er_idx)[e]), 0);
       if (backward) logit(e, 0) = v;
       z(e, 0) = v > 0.0f ? v : negative_slope * v;
     }
@@ -428,7 +357,7 @@ Tensor edge_attention(const Tensor& el, const Tensor& er, const Tensor& msg,
     for (std::size_t e = lo; e < hi; ++e) {
       const float c = alpha(e, 0);
       float* d = t.row(static_cast<std::size_t>((*dst)[e]));
-      const float* m = msg.value().row(e);
+      const float* m = msg.value().row(static_cast<std::size_t>((*er_idx)[e]));
       for (std::size_t j = 0; j < f; ++j) d[j] += c * m[j];
     }
   });
@@ -438,26 +367,29 @@ Tensor edge_attention(const Tensor& el, const Tensor& er, const Tensor& msg,
       std::move(out), {el, er, msg},
       [el, er, msg, el_idx, er_idx, dst, seg, negative_slope, f, e_total,
        logit = std::move(logit), alpha = std::move(alpha)](const Matrix& g) {
-        // Reverse of the fused chain:
-        //   d msg[e]  = alpha_e * g[dst[e]]
-        //   d alpha_e = <g[dst[e]], msg[e]>
+        // Reverse of the fused chain, with r = er_idx[e]:
+        //   d msg[r] += alpha_e * g[dst[e]]
+        //   d alpha_e = <g[dst[e]], msg[r]>
         //   d z_e     = alpha_e * (d alpha_e - sum_k alpha_k d alpha_k)   (softmax)
         //   d logit_e = d z_e * (logit_e > 0 ? 1 : slope)                 (leaky relu)
         //   d el[i]  += d logit_e over edges with el_idx[e] == i (resp. er).
-        Matrix gmsg(e_total, f);
         Matrix galpha(e_total, 1);
         runtime::parallel_for("graph.edges", e_total, kEdgeGrain, [&](std::size_t lo, std::size_t hi) {
           for (std::size_t e = lo; e < hi; ++e) {
             const float* gr = g.row(static_cast<std::size_t>((*dst)[e]));
-            const float* mr = msg.value().row(e);
-            float* gm = gmsg.row(e);
-            const float c = alpha(e, 0);
+            const float* mr = msg.value().row(static_cast<std::size_t>((*er_idx)[e]));
             float acc = 0.0f;
-            for (std::size_t j = 0; j < f; ++j) {
-              gm[j] = gr[j] * c;
-              acc += gr[j] * mr[j];
-            }
+            for (std::size_t j = 0; j < f; ++j) acc += gr[j] * mr[j];
             galpha(e, 0) = acc;
+          }
+        });
+        Matrix gmsg(msg.rows(), f, 0.0f);
+        scatter_into(gmsg, *er_idx, [&](std::size_t lo, std::size_t hi, Matrix& t) {
+          for (std::size_t e = lo; e < hi; ++e) {
+            const float* gr = g.row(static_cast<std::size_t>((*dst)[e]));
+            float* gm = t.row(static_cast<std::size_t>((*er_idx)[e]));
+            const float c = alpha(e, 0);
+            for (std::size_t j = 0; j < f; ++j) gm[j] += gr[j] * c;
           }
         });
         Matrix glogit(e_total, 1);
@@ -476,26 +408,14 @@ Tensor edge_attention(const Tensor& el, const Tensor& er, const Tensor& msg,
         });
         Matrix gel(el.rows(), 1, 0.0f);
         Matrix ger(er.rows(), 1, 0.0f);
-        if (el_idx) {
-          scatter_into(gel, *el_idx, [&](std::size_t lo, std::size_t hi, Matrix& t) {
-            for (std::size_t e = lo; e < hi; ++e)
-              t(static_cast<std::size_t>((*el_idx)[e]), 0) += glogit(e, 0);
-          });
-        } else {
-          runtime::parallel_for("graph.edges", e_total, kEdgeGrain, [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t e = lo; e < hi; ++e) gel(e, 0) = glogit(e, 0);
-          });
-        }
-        if (er_idx) {
-          scatter_into(ger, *er_idx, [&](std::size_t lo, std::size_t hi, Matrix& t) {
-            for (std::size_t e = lo; e < hi; ++e)
-              t(static_cast<std::size_t>((*er_idx)[e]), 0) += glogit(e, 0);
-          });
-        } else {
-          runtime::parallel_for("graph.edges", e_total, kEdgeGrain, [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t e = lo; e < hi; ++e) ger(e, 0) = glogit(e, 0);
-          });
-        }
+        scatter_into(gel, *el_idx, [&](std::size_t lo, std::size_t hi, Matrix& t) {
+          for (std::size_t e = lo; e < hi; ++e)
+            t(static_cast<std::size_t>((*el_idx)[e]), 0) += glogit(e, 0);
+        });
+        scatter_into(ger, *er_idx, [&](std::size_t lo, std::size_t hi, Matrix& t) {
+          for (std::size_t e = lo; e < hi; ++e)
+            t(static_cast<std::size_t>((*er_idx)[e]), 0) += glogit(e, 0);
+        });
         el.accumulate_grad(gel);
         er.accumulate_grad(ger);
         msg.accumulate_grad(gmsg);

@@ -13,14 +13,14 @@
 // the vector into a fresh handle, costing the single copy the old API
 // always paid).
 //
-// Three fused kernels collapse the hot composed chains with hand-derived
+// Two fused kernels collapse the hot composed chains with hand-derived
 // gradients (verified against the composed ops in
 // tests/graph_ops_fused_test.cpp):
 //   scatter_mean_rows  = scatter_add_rows + per-destination 1/deg scaling
-//   gather_matmul      = gather_rows(matmul(a, w), idx), transforming each
-//                        distinct source row once instead of all rows
 //   edge_attention     = gather + add + leaky-relu + segment-softmax +
-//                        scale + scatter in one forward/backward pair
+//                        scale + scatter in one forward/backward pair,
+//                        reading node-level operands through edge indices
+//                        so no per-edge message matrix is built
 //
 // Like the dense ops, every kernel skips its closure and the buffers only
 // backward reads (edge_attention's logits, segment_softmax's alpha copy)
@@ -83,25 +83,28 @@ Tensor scatter_mean_rows(const Tensor& a, const IndexHandle& idx, const CoeffHan
                          std::size_t num_out_rows);
 
 // The distinct rows an edge list touches, plus the per-edge remap into
-// them. Lets gather_matmul transform each touched row exactly once.
+// them. A layer transforms the U touched rows once
+// (matmul(gather_rows(h, rows), w)) and edges reach the U-row result
+// through `remap`, either inside edge_attention or with one gather_rows.
 struct CompactIndex {
   IndexHandle rows;   // ascending unique values of the edge list (size U)
   IndexHandle remap;  // remap[e] = position of edges[e] within rows (size E)
 };
 CompactIndex build_compact_index(const std::vector<std::int32_t>& edges, std::size_t num_rows);
 
-// out[e] = a[edges[e]] * w — numerically identical per row to
-// gather_rows(matmul(a, w), edges), but the GEMM runs over the U distinct
-// touched rows instead of all rows of `a`.
-Tensor gather_matmul(const Tensor& a, const CompactIndex& ci, const Tensor& w);
-
 // Fused GAT-style attention aggregation over one destination-sorted edge
-// block:
-//   logit[e] = el[el_idx ? el_idx[e] : e] + er[er_idx ? er_idx[e] : e]
+// block of E = dst->size() edges:
+//   logit[e] = el[el_idx[e]] + er[er_idx[e]]
 //   alpha    = segment_softmax(leaky_relu(logit, slope), seg)
-//   out[dst[e]] += alpha[e] * msg[e]
-// el / er are column vectors of per-node (with a gather index) or per-edge
-// (index handle nullptr) attention logits; msg is the E x F message block.
+//   out[dst[e]] += alpha[e] * msg[er_idx[e]]
+// Index contract: every handle is required and el_idx / er_idx hold one
+// entry per edge. el is a column vector of destination-side logits and er
+// one of source-side logits; msg holds one row per er row (the transformed
+// source rows the logits were computed from), so er_idx indexes both and
+// the E x F message matrix is never built. A null handle, a wrong-length
+// index or a msg/er row mismatch throws std::invalid_argument; an index
+// past its operand throws std::out_of_range. The backward scatters msg's
+// and er's gradients through er_idx and el's through el_idx.
 // When `alpha_out` is non-null the softmax output is copied there for
 // attention-statistics probes. Numerically identical to the composed
 // gather/add/leaky_relu/segment_softmax/scale_rows_by/scatter_add chain.

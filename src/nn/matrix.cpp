@@ -13,6 +13,9 @@ namespace {
 // output rows). GEMM rows carry k*n flops each; elementwise rows are cheap.
 constexpr std::size_t kGemmRowGrain = 32;
 constexpr std::size_t kEltGrain = 16384;
+// Output columns gemm / gemm_tn accumulate in registers at a time: the
+// embedding width, so a whole output row of a layer GEMM is one tile.
+constexpr std::size_t kTile = 32;
 }  // namespace
 
 std::string Matrix::shape_str() const {
@@ -27,17 +30,32 @@ Matrix gemm(const Matrix& a, const Matrix& b) {
   const std::size_t k = a.cols();
   const std::size_t n = b.cols();
   Matrix c(m, n, 0.0f);
-  // ikj order: the innermost loop is a contiguous axpy over B's row, which
-  // the compiler vectorises. Chunks own disjoint rows of C.
+  // ikj order, register-tiled: each kTile-wide block of C's row stays in a
+  // local accumulator for the whole p loop and is stored once. Per output
+  // element the additions run in the same p order, with the same zero skip,
+  // as the plain loop the remainder columns still use. Chunks own disjoint
+  // rows of C.
   runtime::parallel_for("gemm", m, kGemmRowGrain, [&](std::size_t ib, std::size_t ie) {
     for (std::size_t i = ib; i < ie; ++i) {
-      const float* arow = a.row(i);
-      float* crow = c.row(i);
+      const float* __restrict arow = a.row(i);
+      float* __restrict crow = c.row(i);
+      std::size_t j0 = 0;
+      for (; j0 + kTile <= n; j0 += kTile) {
+        float acc[kTile] = {};
+        for (std::size_t p = 0; p < k; ++p) {
+          const float av = arow[p];
+          if (av == 0.0f) continue;
+          const float* __restrict brow = b.row(p) + j0;
+          for (std::size_t j = 0; j < kTile; ++j) acc[j] += av * brow[j];
+        }
+        for (std::size_t j = 0; j < kTile; ++j) crow[j0 + j] = acc[j];
+      }
+      if (j0 == n) continue;
       for (std::size_t p = 0; p < k; ++p) {
         const float av = arow[p];
         if (av == 0.0f) continue;
-        const float* brow = b.row(p);
-        for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+        const float* __restrict brow = b.row(p);
+        for (std::size_t j = j0; j < n; ++j) crow[j] += av * brow[j];
       }
     }
   });
@@ -77,15 +95,28 @@ Matrix gemm_tn(const Matrix& a, const Matrix& b) {
   Matrix c(k, n, 0.0f);
   // Loop order is (p, i) so chunks own disjoint rows of C; per output
   // element the i-accumulation order matches the serial (i, p) loop, so the
-  // result is bit-identical at any thread count.
+  // result is bit-identical at any thread count. Tiled like gemm: a
+  // kTile-wide block of C's row accumulates locally across the i loop.
   runtime::parallel_for("gemm_tn", k, kGemmRowGrain, [&](std::size_t pb, std::size_t pe) {
     for (std::size_t p = pb; p < pe; ++p) {
-      float* crow = c.row(p);
+      float* __restrict crow = c.row(p);
+      std::size_t j0 = 0;
+      for (; j0 + kTile <= n; j0 += kTile) {
+        float acc[kTile] = {};
+        for (std::size_t i = 0; i < m; ++i) {
+          const float av = a(i, p);
+          if (av == 0.0f) continue;
+          const float* __restrict brow = b.row(i) + j0;
+          for (std::size_t j = 0; j < kTile; ++j) acc[j] += av * brow[j];
+        }
+        for (std::size_t j = 0; j < kTile; ++j) crow[j0 + j] = acc[j];
+      }
+      if (j0 == n) continue;
       for (std::size_t i = 0; i < m; ++i) {
         const float av = a(i, p);
         if (av == 0.0f) continue;
-        const float* brow = b.row(i);
-        for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+        const float* __restrict brow = b.row(i);
+        for (std::size_t j = j0; j < n; ++j) crow[j] += av * brow[j];
       }
     }
   });

@@ -1,10 +1,15 @@
-// The fused kernels (scatter_mean_rows, gather_matmul, edge_attention)
-// carry hand-derived backward passes. Each is checked two ways: the
-// forward must match the composed op chain it replaces exactly, and the
-// gradient must match central finite differences — including the edge
-// cases (empty segments, isolated output rows, a single edge type,
-// per-edge vs node-indexed attention logits).
+// The fused kernels (scatter_mean_rows, edge_attention) carry
+// hand-derived backward passes. Each is checked two ways: the forward must
+// match the composed op chain it replaces exactly, and the gradient must
+// match central finite differences — including the edge cases (empty
+// segments, isolated output rows, a source row shared by many edges, an
+// operand row no edge reads). edge_attention reads node-level operands
+// through its edge indices; it must be byte-equal to the per-edge form
+// that gathers them first.
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <numeric>
 
 #include "nn/graph_ops.h"
 #include "nn/ops.h"
@@ -58,48 +63,6 @@ TEST(FusedKernels, ScatterMeanValidatesShapes) {
                std::out_of_range);
 }
 
-// ----------------------------------------------------- gather_matmul ----
-
-TEST(FusedKernels, GatherMatmulMatchesComposed) {
-  util::Rng rng(53);
-  Tensor a(random_matrix(7, 4, rng), true);
-  Tensor w(random_matrix(4, 3, rng), true);
-  // Rows 1, 3, 6 are touched; the rest must not reach the GEMM.
-  const std::vector<std::int32_t> edges = {3, 1, 3, 6, 6};
-  const CompactIndex ci = build_compact_index(edges, 7);
-  ASSERT_EQ(ci.rows->size(), 3u);
-
-  const Tensor fused = gather_matmul(a, ci, w);
-  const Tensor composed = gather_rows(matmul(a, w), edges);
-  expect_matrices_equal(fused.value(), composed.value());
-}
-
-TEST(FusedKernels, GatherMatmulGradients) {
-  util::Rng rng(54);
-  Tensor a(random_matrix(5, 3, rng), true);
-  Tensor w(random_matrix(3, 2, rng), true);
-  const CompactIndex ci = build_compact_index({4, 0, 4, 2}, 5);
-  check_gradient(a, [&](const Tensor& x) {
-    return mse_loss(gather_matmul(x, ci, w), ones_target(4, 2));
-  });
-  check_gradient(w, [&](const Tensor& x) {
-    return mse_loss(gather_matmul(a, ci, x), ones_target(4, 2));
-  });
-}
-
-TEST(FusedKernels, GatherMatmulSingleEdge) {
-  util::Rng rng(55);
-  Tensor a(random_matrix(4, 3, rng), true);
-  Tensor w(random_matrix(3, 3, rng), true);
-  const CompactIndex ci = build_compact_index({2}, 4);
-  const Tensor fused = gather_matmul(a, ci, w);
-  expect_matrices_equal(fused.value(),
-                        gather_rows(matmul(a, w), std::vector<std::int32_t>{2}).value());
-  check_gradient(a, [&](const Tensor& x) {
-    return mse_loss(gather_matmul(x, ci, w), ones_target(1, 3));
-  });
-}
-
 // ---------------------------------------------------- edge_attention ----
 
 // Shared case: 3 destination nodes; node 1 has no incoming edges (empty
@@ -112,13 +75,24 @@ struct AttentionCase {
   std::size_t num_dst = 3;
 };
 
-// Composed reference chain for node-indexed logits, as the pre-engine GAT
+// Composed reference chain for node-indexed operands, as the pre-engine GAT
 // implementation wrote it.
 Tensor composed_attention(const Tensor& el, const Tensor& er, const Tensor& msg,
                           const AttentionCase& c) {
   Tensor logits = add(gather_rows(el, c.dst), gather_rows(er, c.src));
   Tensor alpha = segment_softmax(leaky_relu(logits), c.seg);
-  return scatter_add_rows(scale_rows_by(msg, alpha), c.dst, c.num_dst);
+  return scatter_add_rows(scale_rows_by(gather_rows(msg, c.src), alpha), c.dst, c.num_dst);
+}
+
+bool bytes_equal(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         (a.size() == 0 || std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+IndexHandle identity_index(std::size_t n) {
+  std::vector<std::int32_t> idx(n);
+  std::iota(idx.begin(), idx.end(), 0);
+  return make_index(std::move(idx));
 }
 
 TEST(FusedKernels, EdgeAttentionMatchesComposed) {
@@ -126,7 +100,7 @@ TEST(FusedKernels, EdgeAttentionMatchesComposed) {
   const AttentionCase c;
   Tensor el(random_matrix(c.num_dst, 1, rng), true);
   Tensor er(random_matrix(c.num_src, 1, rng), true);
-  Tensor msg(random_matrix(c.dst.size(), 3, rng), true);
+  Tensor msg(random_matrix(c.num_src, 3, rng), true);
 
   const Tensor fused = edge_attention(el, er, msg, make_index(c.dst), make_index(c.src),
                                       make_index(c.dst), make_segments(c.seg), c.num_dst);
@@ -138,7 +112,7 @@ TEST(FusedKernels, EdgeAttentionGradients) {
   const AttentionCase c;
   Tensor el(random_matrix(c.num_dst, 1, rng), true);
   Tensor er(random_matrix(c.num_src, 1, rng), true);
-  Tensor msg(random_matrix(c.dst.size(), 2, rng), true);
+  Tensor msg(random_matrix(c.num_src, 2, rng), true);
   const auto eli = make_index(c.dst);
   const auto eri = make_index(c.src);
   const auto di = make_index(c.dst);
@@ -153,32 +127,72 @@ TEST(FusedKernels, EdgeAttentionGradients) {
   check_gradient(msg, [&](const Tensor& x) { return run(el, er, x); });
 }
 
-// The ParaGraph layers pass per-edge logit vectors (null index handles).
-TEST(FusedKernels, EdgeAttentionPerEdgeLogits) {
-  util::Rng rng(58);
-  const AttentionCase c;
+// The ParaGraph layout: el / er / msg live on the distinct rows each side
+// touches and edges reach them through compact remaps. Source row 1 feeds
+// six edges across three destinations; source row 3 and destination row 2
+// are never read.
+struct CompactAttentionCase {
+  std::vector<std::int32_t> el_idx = {0, 0, 0, 1, 1, 3, 3, 3};
+  std::vector<std::int32_t> er_idx = {1, 0, 1, 1, 2, 1, 1, 1};
+  std::vector<std::int32_t> dst = {0, 0, 0, 1, 1, 3, 3, 3};
+  SegmentIndex seg{{0, 3, 5, 5, 8}};
+  std::size_t num_el = 4;
+  std::size_t num_er = 4;
+  std::size_t num_dst = 4;
+};
+
+TEST(FusedKernels, EdgeAttentionIndexedIsByteEqualToPerEdgeForm) {
+  util::Rng rng(60);
+  const CompactAttentionCase c;
   const std::size_t e = c.dst.size();
-  Tensor el(random_matrix(e, 1, rng), true);
-  Tensor er(random_matrix(e, 1, rng), true);
-  Tensor msg(random_matrix(e, 2, rng), true);
+  const Tensor el(random_matrix(c.num_el, 1, rng));
+  const Tensor er(random_matrix(c.num_er, 1, rng));
+  const Tensor msg(random_matrix(c.num_er, 33, rng));
+  const auto eli = make_index(c.el_idx);
+  const auto eri = make_index(c.er_idx);
   const auto di = make_index(c.dst);
   const auto seg = make_segments(c.seg);
 
-  // Reference: the same math with explicit identity gathers.
-  Tensor logits = add(el, er);
-  Tensor alpha = segment_softmax(leaky_relu(logits), c.seg);
-  const Tensor composed = scatter_add_rows(scale_rows_by(msg, alpha), c.dst, c.num_dst);
-  const Tensor fused = edge_attention(el, er, msg, nullptr, nullptr, di, seg, c.num_dst);
-  expect_matrices_equal(fused.value(), composed.value());
+  Matrix alpha_indexed, alpha_per_edge;
+  const Tensor indexed =
+      edge_attention(el, er, msg, eli, eri, di, seg, c.num_dst, 0.2f, &alpha_indexed);
+  const auto id = identity_index(e);
+  const Tensor per_edge =
+      edge_attention(gather_rows(el, eli), gather_rows(er, eri), gather_rows(msg, eri), id, id,
+                     di, seg, c.num_dst, 0.2f, &alpha_per_edge);
+  EXPECT_TRUE(bytes_equal(indexed.value(), per_edge.value()));
+  EXPECT_TRUE(bytes_equal(alpha_indexed, alpha_per_edge));
+  // Destination row 2 has no edges and stays exactly zero.
+  for (std::size_t j = 0; j < msg.cols(); ++j) EXPECT_EQ(indexed.value()(2, j), 0.0f);
+}
 
-  check_gradient(el, [&](const Tensor& x) {
-    return mse_loss(edge_attention(x, er, msg, nullptr, nullptr, di, seg, c.num_dst),
+TEST(FusedKernels, EdgeAttentionIndexedGradients) {
+  util::Rng rng(61);
+  const CompactAttentionCase c;
+  Tensor el(random_matrix(c.num_el, 1, rng), true);
+  Tensor er(random_matrix(c.num_er, 1, rng), true);
+  Tensor msg(random_matrix(c.num_er, 2, rng), true);
+  const auto eli = make_index(c.el_idx);
+  const auto eri = make_index(c.er_idx);
+  const auto di = make_index(c.dst);
+  const auto seg = make_segments(c.seg);
+
+  const auto run = [&](const Tensor& l, const Tensor& r, const Tensor& m) {
+    return mse_loss(edge_attention(l, r, m, eli, eri, di, seg, c.num_dst),
                     ones_target(c.num_dst, 2));
-  });
-  check_gradient(msg, [&](const Tensor& x) {
-    return mse_loss(edge_attention(el, er, x, nullptr, nullptr, di, seg, c.num_dst),
-                    ones_target(c.num_dst, 2));
-  });
+  };
+  check_gradient(el, [&](const Tensor& x) { return run(x, er, msg); });
+  check_gradient(er, [&](const Tensor& x) { return run(el, x, msg); });
+  check_gradient(msg, [&](const Tensor& x) { return run(el, er, x); });
+
+  // Rows no edge reads get exactly zero gradient.
+  el.zero_grad();
+  er.zero_grad();
+  msg.zero_grad();
+  run(el, er, msg).backward();
+  EXPECT_EQ(el.grad()(2, 0), 0.0f);
+  EXPECT_EQ(er.grad()(3, 0), 0.0f);
+  for (std::size_t j = 0; j < msg.cols(); ++j) EXPECT_EQ(msg.grad()(3, j), 0.0f);
 }
 
 TEST(FusedKernels, EdgeAttentionRecordsAlpha) {
@@ -186,7 +200,7 @@ TEST(FusedKernels, EdgeAttentionRecordsAlpha) {
   const AttentionCase c;
   Tensor el(random_matrix(c.num_dst, 1, rng));
   Tensor er(random_matrix(c.num_src, 1, rng));
-  Tensor msg(random_matrix(c.dst.size(), 2, rng));
+  Tensor msg(random_matrix(c.num_src, 2, rng));
   Matrix alpha;
   edge_attention(el, er, msg, make_index(c.dst), make_index(c.src), make_index(c.dst),
                  make_segments(c.seg), c.num_dst, 0.2f, &alpha);
@@ -196,17 +210,36 @@ TEST(FusedKernels, EdgeAttentionRecordsAlpha) {
   EXPECT_NEAR(alpha(3, 0), 1.0f, 1e-6f);  // single-edge softmax
 }
 
-TEST(FusedKernels, EdgeAttentionValidatesShapes) {
+TEST(FusedKernels, EdgeAttentionValidatesIndices) {
   Tensor el(Matrix(2, 1, 0.0f));
-  Tensor er(Matrix(2, 1, 0.0f));
-  Tensor msg(Matrix(2, 2, 1.0f));
+  Tensor er(Matrix(3, 1, 0.0f));
+  Tensor msg(Matrix(3, 2, 1.0f));
   const auto di = make_index({0, 1});
-  SegmentIndex seg{{0, 1, 2}};
-  EXPECT_THROW(edge_attention(el, er, msg, nullptr, nullptr, nullptr, make_segments(seg), 2),
+  const auto eli = make_index({0, 1});
+  const auto eri = make_index({2, 0});
+  const auto seg = make_segments(SegmentIndex{{0, 1, 2}});
+  EXPECT_NO_THROW(edge_attention(el, er, msg, eli, eri, di, seg, 2));
+  // Null handles.
+  EXPECT_THROW(edge_attention(el, er, msg, nullptr, eri, di, seg, 2), std::invalid_argument);
+  EXPECT_THROW(edge_attention(el, er, msg, eli, nullptr, di, seg, 2), std::invalid_argument);
+  EXPECT_THROW(edge_attention(el, er, msg, eli, eri, nullptr, seg, 2), std::invalid_argument);
+  // Wrong-length el / er index.
+  EXPECT_THROW(edge_attention(el, er, msg, make_index({0}), eri, di, seg, 2),
                std::invalid_argument);
-  EXPECT_THROW(edge_attention(el, er, Tensor(Matrix(3, 2, 1.0f)), nullptr, nullptr, di,
-                              make_segments(seg), 2),
+  EXPECT_THROW(edge_attention(el, er, msg, eli, make_index({0, 1, 2}), di, seg, 2),
                std::invalid_argument);
+  // msg must have one row per er row.
+  EXPECT_THROW(edge_attention(el, er, Tensor(Matrix(2, 2, 1.0f)), eli, eri, di, seg, 2),
+               std::invalid_argument);
+  // Out-of-range entries in any index.
+  EXPECT_THROW(edge_attention(el, er, msg, make_index({0, 2}), eri, di, seg, 2),
+               std::out_of_range);
+  EXPECT_THROW(edge_attention(el, er, msg, eli, make_index({3, 0}), di, seg, 2),
+               std::out_of_range);
+  EXPECT_THROW(edge_attention(el, er, msg, eli, make_index({-1, 0}), di, seg, 2),
+               std::out_of_range);
+  EXPECT_THROW(edge_attention(el, er, msg, eli, eri, make_index({0, 2}), seg, 2),
+               std::out_of_range);
 }
 
 }  // namespace

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+
+#include "runtime/thread_pool.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -97,6 +102,108 @@ TEST(Matrix, GemmZeroSkipStillCorrect) {
   const Matrix b = paragraph::testing::random_matrix(4, 4, rng);
   EXPECT_LT(max_abs_diff(gemm(a, b), naive_gemm(a, b)), 1e-5f);
 }
+
+// References with the kernels' exact per-element order: c(i, j) sums
+// a(i, p) * b(p, j) for ascending p starting from 0.0f, skipping zero
+// multipliers (gemm); gemm_tn sums a(i, p) * b(i, j) for ascending i.
+Matrix ordered_gemm(const Matrix& a, const Matrix& b) {
+  Matrix c(a.rows(), b.cols(), 0.0f);
+  for (std::size_t i = 0; i < a.rows(); ++i)
+    for (std::size_t j = 0; j < b.cols(); ++j) {
+      float acc = 0.0f;
+      for (std::size_t p = 0; p < a.cols(); ++p) {
+        const float av = a(i, p);
+        if (av == 0.0f) continue;
+        acc += av * b(p, j);
+      }
+      c(i, j) = acc;
+    }
+  return c;
+}
+
+Matrix ordered_gemm_tn(const Matrix& a, const Matrix& b) {
+  Matrix c(a.cols(), b.cols(), 0.0f);
+  for (std::size_t p = 0; p < a.cols(); ++p)
+    for (std::size_t j = 0; j < b.cols(); ++j) {
+      float acc = 0.0f;
+      for (std::size_t i = 0; i < a.rows(); ++i) {
+        const float av = a(i, p);
+        if (av == 0.0f) continue;
+        acc += av * b(i, j);
+      }
+      c(p, j) = acc;
+    }
+  return c;
+}
+
+bool bytes_equal(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         (a.size() == 0 || std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+struct GemmShape {
+  std::size_t m, k;
+};
+
+// Output widths around the register tile (32 columns), plus empty m and k;
+// m and k span more than one 32-row chunk so threads split the work.
+constexpr std::size_t kWidths[] = {1, 7, 31, 32, 33, 64, 65};
+constexpr GemmShape kShapes[] = {{70, 19}, {3, 70}, {0, 19}, {70, 0}};
+
+class GemmBitwise : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  void SetUp() override {
+    threads_before_ = runtime::num_threads();
+    runtime::set_num_threads(GetParam());
+  }
+  void TearDown() override { runtime::set_num_threads(threads_before_); }
+
+ private:
+  std::size_t threads_before_ = 1;
+};
+
+TEST_P(GemmBitwise, GemmMatchesOrderedReference) {
+  util::Rng rng(29);
+  for (const std::size_t n : kWidths) {
+    for (const GemmShape s : kShapes) {
+      Matrix a = paragraph::testing::random_matrix(s.m, s.k, rng);
+      Matrix b = paragraph::testing::random_matrix(s.k, n, rng);
+      // Column 1 of A is all zero and row 1 of B is +inf: only the zero
+      // skip keeps the product finite.
+      if (s.k > 1) {
+        for (std::size_t i = 0; i < s.m; ++i) a(i, 1) = 0.0f;
+        for (std::size_t j = 0; j < n; ++j) b(1, j) = std::numeric_limits<float>::infinity();
+      }
+      for (std::size_t i = 0; i < a.size(); i += 5) a.data()[i] = 0.0f;
+      const Matrix c = gemm(a, b);
+      EXPECT_TRUE(bytes_equal(c, ordered_gemm(a, b)))
+          << "m=" << s.m << " k=" << s.k << " n=" << n;
+      for (std::size_t i = 0; i < c.size(); ++i) ASSERT_TRUE(std::isfinite(c.data()[i]));
+    }
+  }
+}
+
+TEST_P(GemmBitwise, GemmTnMatchesOrderedReference) {
+  util::Rng rng(31);
+  for (const std::size_t n : kWidths) {
+    for (const GemmShape s : kShapes) {
+      // gemm_tn(a, b) = a^T b with a (k x m), b (k x n): output m x n.
+      Matrix a = paragraph::testing::random_matrix(s.k, s.m, rng);
+      Matrix b = paragraph::testing::random_matrix(s.k, n, rng);
+      if (s.k > 1) {
+        for (std::size_t p = 0; p < s.m; ++p) a(1, p) = 0.0f;
+        for (std::size_t j = 0; j < n; ++j) b(1, j) = std::numeric_limits<float>::infinity();
+      }
+      for (std::size_t i = 0; i < a.size(); i += 5) a.data()[i] = 0.0f;
+      const Matrix c = gemm_tn(a, b);
+      EXPECT_TRUE(bytes_equal(c, ordered_gemm_tn(a, b)))
+          << "m=" << s.m << " k=" << s.k << " n=" << n;
+      for (std::size_t i = 0; i < c.size(); ++i) ASSERT_TRUE(std::isfinite(c.data()[i]));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, GemmBitwise, ::testing::Values(1, 2, 4));
 
 }  // namespace
 }  // namespace paragraph::nn

@@ -2,22 +2,28 @@
 // tracking across alloc/free sequences, copy/move accounting, the
 // disabled-instrumentation fast path (counters must stay untouched), the
 // /proc/self/status RSS sampler, and metric publication, plus the Matrix
-// peak of a tape-free predict against the taped forward. Tests toggle the
-// global obs switch and always restore it on exit.
+// peak of a tape-free predict against the taped forward and of one
+// attention layer against its largest per-edge message matrix. Tests
+// toggle the global obs switch and always restore it on exit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <numeric>
 #include <utility>
 
 #include "circuitgen/generator.h"
 #include "core/predictor.h"
+#include "gnn/mp_layer.h"
 #include "gnn/plan.h"
+#include "graph/hetero_graph.h"
 #include "nn/matrix.h"
 #include "obs/control.h"
 #include "obs/memory.h"
 #include "obs/metrics.h"
 #include "runtime/thread_pool.h"
 #include "taped_reference.h"
+#include "test_util.h"
 
 namespace paragraph {
 namespace {
@@ -170,6 +176,80 @@ TEST(TapeFreeInferenceMemory, PredictPeakIsAFractionOfTheTapedForward) {
   EXPECT_LE(peak * 8, taped_peak) << "tape-free peak " << peak << " B, taped " << taped_peak
                                   << " B";
   EXPECT_LE(allocs, taped_allocs);
+}
+
+// Byte counts again: one tape-free ParaGraph layer on a crossbar graph in
+// which every net drives the gate of every transistor (and each gate edge
+// feeds back to its net), so every node has high fan-out and each edge
+// type has E = nets x transistors edges over a handful of node rows. The
+// layer transforms only the distinct rows each edge type touches and
+// edge_attention reads them through the edge indices, so its whole Matrix
+// peak stays below one E x F message matrix of the largest edge type. A
+// later edit that re-expands messages (or the W h_i operand) to one row
+// per edge fails here. Generated decks cannot show this: each device has
+// one terminal per relation, so a device-side block already has E rows.
+TEST(TapeFreeInferenceMemory, AttentionLayerNeverBuildsPerEdgeMessages) {
+  const std::size_t threads_before = runtime::num_threads();
+  runtime::set_num_threads(1);
+  constexpr std::size_t kNets = 48;
+  constexpr std::size_t kDevices = 96;
+  constexpr std::size_t kF = 32;  // paper embedding width
+  using graph::NodeType;
+  graph::HeteroGraph g;
+  const auto add_nodes = [&g](NodeType t, std::size_t n) {
+    std::vector<std::int32_t> origin(n);
+    std::iota(origin.begin(), origin.end(), 0);
+    g.set_nodes(t, std::move(origin), nn::Matrix(n, graph::feature_dim(t), 0.0f));
+  };
+  add_nodes(NodeType::kNet, kNets);
+  add_nodes(NodeType::kTransistor, kDevices);
+  std::vector<std::int32_t> nets, devices;
+  for (std::size_t n = 0; n < kNets; ++n)
+    for (std::size_t d = 0; d < kDevices; ++d) {
+      nets.push_back(static_cast<std::int32_t>(n));
+      devices.push_back(static_cast<std::int32_t>(d));
+    }
+  g.add_edges(graph::edge_type_index(NodeType::kNet, NodeType::kTransistor,
+                                     graph::Relation::kGate),
+              nets, devices);
+  g.add_edges(graph::edge_type_index(NodeType::kTransistor, NodeType::kNet,
+                                     graph::Relation::kGate),
+              devices, nets);
+  g.validate();
+  const gnn::GraphPlan plan = gnn::GraphPlan::build(g);
+  util::Rng rng(3);
+  gnn::LayerPolicy policy;  // ParaGraph: typed attention, concat update
+  policy.attention_params = true;
+  policy.require_dst_features = true;
+  const gnn::MessagePassingLayer layer(kF, policy, rng);
+  gnn::TypeTensors h;
+  h[static_cast<std::size_t>(NodeType::kNet)] = nn::Tensor(testing::random_matrix(kNets, kF, rng));
+  h[static_cast<std::size_t>(NodeType::kTransistor)] =
+      nn::Tensor(testing::random_matrix(kDevices, kF, rng));
+  std::size_t max_edges = 0;
+  for (const auto& ep : plan.edge_types()) max_edges = std::max(max_edges, ep.num_edges());
+
+  ObsGuard obs(true);
+  auto& t = obs::MemTracker::instance();
+  auto& reg = obs::MetricsRegistry::instance();
+  t.reset();
+  {
+    const nn::NoGradGuard no_grad;
+    const gnn::TypeTensors out = layer.forward(h, plan);
+    obs::publish_memory_metrics();
+  }
+  const double peak = reg.gauge("mem.matrix.peak_bytes").value();
+  reg.reset();
+  t.reset();
+  runtime::set_num_threads(threads_before);
+
+  ASSERT_EQ(plan.edge_types().size(), 2u);
+  ASSERT_EQ(max_edges, kNets * kDevices);
+  const double per_edge_bytes = static_cast<double>(max_edges * kF * sizeof(float));
+  EXPECT_GT(peak, 0.0);
+  EXPECT_LT(peak, per_edge_bytes) << "layer peak " << peak << " B; one " << max_edges
+                                  << " x " << kF << " message matrix is " << per_edge_bytes
+                                  << " B";
 }
 
 }  // namespace
