@@ -7,8 +7,8 @@
 // full exceeds 100k (the ISSUE's scaling target). Each repetition measures
 // the full single-circuit inference path:
 //
-//   cache_off  GraphPlan::build on the full graph + predict_all(plan)
-//   cache_on   predict_all(cache): the model runs on the reduced graph
+//   cache_off  GraphPlan::build on the full graph + predict_all({.plan})
+//   cache_on   predict_all({.cache}): the model runs on the reduced graph
 //              only, interior rows assembled from memoized embeddings
 //
 // The first cache_on call (reported separately as hier.warm_ms) pays the
@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
   for (int rep = 0; rep < reps; ++rep) {
     bench::Timer t;
     const gnn::GraphPlan plan = gnn::GraphPlan::build(s.graph, predictor.needs_homo());
-    preds_off = predictor.predict_all(s, plan);
+    preds_off = predictor.predict_all(s, {.plan = &plan});
     off_ms.push_back(t.seconds() * 1000.0);
     reporter.add_rep("hier.plan_encode_ms" + tag + "/cache_off", "ms", off_ms.back());
   }
@@ -121,12 +121,12 @@ int main(int argc, char** argv) {
   std::vector<double> on_ms;
   {
     bench::Timer t;
-    preds_on = predictor.predict_all(s, cache);
+    preds_on = predictor.predict_all(s, {.cache = &cache});
     reporter.add_rep("hier.warm_ms" + tag + "/cache_on", "ms", t.seconds() * 1000.0);
   }
   for (int rep = 0; rep < reps; ++rep) {
     bench::Timer t;
-    preds_on = predictor.predict_all(s, cache);
+    preds_on = predictor.predict_all(s, {.cache = &cache});
     on_ms.push_back(t.seconds() * 1000.0);
     reporter.add_rep("hier.plan_encode_ms" + tag + "/cache_on", "ms", on_ms.back());
   }

@@ -119,28 +119,6 @@ void BM_ScatterMeanFused(benchmark::State& state) {
 }
 BENCHMARK(BM_ScatterMeanFused)->Arg(1024)->Arg(16384);
 
-// Typed-edge message transform: only a quarter of the rows are touched by
-// the edge list, the realistic case for per-relation transforms.
-void BM_GatherMatmulComposed(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const std::size_t e = n;  // edges touch n/4 distinct rows, 4 edges each
-  util::Rng rng(23);
-  nn::Tensor h(random_matrix(n, 32, 24), true);
-  nn::Tensor w(random_matrix(32, 32, 25), true);
-  std::vector<std::int32_t> src(e);
-  for (std::size_t i = 0; i < e; ++i)
-    src[i] = static_cast<std::int32_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) / 4 - 1));
-  const nn::Matrix target(e, 32, 0.1f);
-  for (auto _ : state) {
-    nn::Tensor msg = nn::gather_rows(nn::matmul(h, w), src);
-    nn::Tensor loss = nn::mse_loss(msg, target);
-    loss.backward();
-    benchmark::DoNotOptimize(loss.item());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(e));
-}
-BENCHMARK(BM_GatherMatmulComposed)->Arg(1024)->Arg(16384);
-
 // One GAT-style attention block: 6 incoming edges per destination, with
 // node-level messages read through the source index.
 struct AttentionBench {

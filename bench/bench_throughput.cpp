@@ -75,7 +75,7 @@ Measurement measure(const dataset::SuiteDataset& ds, const bench::BenchProfile& 
     std::size_t rep_graphs = 0, rep_nets = 0;
     bench::Timer t;
     for (std::size_t si = 0; si < ds.test.size(); ++si) {
-      const auto preds = predictor.predict_all(ds.test[si], plans[si]);
+      const auto preds = predictor.predict_all(ds.test[si], {.plan = &plans[si]});
       ++rep_graphs;
       rep_nets += preds.size();
     }

@@ -7,7 +7,6 @@
 #include <iostream>
 
 #include "core/ensemble.h"
-#include "core/intervals.h"
 #include "util/strings.h"
 #include "util/table.h"
 
@@ -73,25 +72,5 @@ int main() {
   std::printf("\nensemble over full range: MAE = %.3f fF, MAPE = %.1f%% (%zu nets)\n",
               mae / truth.size(), 100.0 * mape / truth.size(), truth.size());
 
-  // ---- conformal guard-bands: calibrate on e1/e2, check coverage on e3/e4 ----
-  std::vector<float> cal_t, cal_p, hold_t, hold_p;
-  std::size_t offset = 0;
-  for (std::size_t c = 0; c < ds.test.size(); ++c) {
-    const std::size_t n = ds.test[c].target_values(dataset::TargetKind::kCap).size();
-    auto& t = c < 2 ? cal_t : hold_t;
-    auto& p = c < 2 ? cal_p : hold_p;
-    t.insert(t.end(), truth.begin() + static_cast<long>(offset),
-             truth.begin() + static_cast<long>(offset + n));
-    p.insert(p.end(), combined.begin() + static_cast<long>(offset),
-             combined.begin() + static_cast<long>(offset + n));
-    offset += n;
-  }
-  core::ConformalCalibrator cal;
-  cal.calibrate(cal_t, cal_p, 0.9);
-  std::printf("\nconformal 90%% guard-bands (calibrated on e1/e2):\n");
-  for (const float p : {0.5f, 5.0f, 50.0f})
-    std::printf("  prediction %5.1f fF -> +/- %.2f fF\n", p, cal.half_width(p));
-  std::printf("  held-out coverage on e3/e4: %.0f%%\n",
-              100.0 * cal.empirical_coverage(hold_t, hold_p));
   return 0;
 }

@@ -5,7 +5,6 @@
 
 #include "core/serialize.h"
 #include "gnn/plan.h"
-#include "gnn/plan_cache.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
@@ -54,25 +53,25 @@ void CapEnsemble::train(const SuiteDataset& ds) {
   }
 }
 
-std::vector<float> CapEnsemble::predict(const Sample& sample) const {
-  // All members share a model kind, so one plan serves every member.
-  const gnn::GraphPlan plan = gnn::GraphPlan::build(sample.graph, models_[0]->needs_homo());
-  return predict_with_plan(sample, plan);
-}
-
-template <typename PredictMemberFn>
-std::vector<float> CapEnsemble::cascade(const PredictMemberFn& predict_member,
+std::vector<float> CapEnsemble::predict(const Sample& sample, const PredictOptions& opts,
                                         MemberAttribution* attribution) const {
+  // All members share a model kind, so one plan serves every member.
+  PredictOptions member_opts = opts;
+  gnn::GraphPlan shared;
+  if (opts.plan == nullptr && opts.cache == nullptr) {
+    shared = gnn::GraphPlan::build(sample.graph, models_[0]->needs_homo());
+    member_opts.plan = &shared;
+  }
   PARAGRAPH_TIMED_SCOPE("ensemble_combine");
   // Algorithm 2: start from the lowest-range model M1; move to model Mi
   // whenever Mi's prediction exceeds M(i-1)'s max prediction value.
-  std::vector<float> p = predict_member(0);
+  std::vector<float> p = models_[0]->predict_all(sample, member_opts);
   if (attribution != nullptr) {
     attribution->member.assign(p.size(), 0);
     attribution->pairs.assign(models_.size() - 1, {});
   }
   for (std::size_t i = 1; i < models_.size(); ++i) {
-    const std::vector<float> pi = predict_member(i);
+    const std::vector<float> pi = models_[i]->predict_all(sample, member_opts);
     const double prev_max = config_.max_vs_ff[i - 1];
     for (std::size_t n = 0; n < p.size(); ++n) {
       if (attribution != nullptr) {
@@ -90,18 +89,6 @@ std::vector<float> CapEnsemble::cascade(const PredictMemberFn& predict_member,
     }
   }
   return p;
-}
-
-std::vector<float> CapEnsemble::predict_with_plan(const Sample& sample,
-                                                  const gnn::GraphPlan& plan,
-                                                  MemberAttribution* attribution) const {
-  return cascade([&](std::size_t i) { return models_[i]->predict_all(sample, plan); },
-                 attribution);
-}
-
-std::vector<float> CapEnsemble::predict_with_cache(const Sample& sample,
-                                                   gnn::PlanCache& cache) const {
-  return cascade([&](std::size_t i) { return models_[i]->predict_all(sample, cache); }, nullptr);
 }
 
 void CapEnsemble::save(const std::string& path) const {
@@ -187,18 +174,16 @@ EvalResult CapEnsemble::evaluate(const std::vector<Sample>& samples,
   EvalResult result;
   result.circuits.resize(samples.size());
   if (attributions != nullptr) attributions->resize(samples.size());
-  // One circuit per pool chunk; the plan is built once per circuit and
-  // shared across the K member models. Results land at their sample index,
-  // so output order matches the serial loop.
+  // One circuit per pool chunk (predict shares one plan across the K
+  // member models). Results land at their sample index, so output order
+  // matches the serial loop.
   runtime::parallel_for(samples.size(), 1, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t si = lo; si < hi; ++si) {
       const Sample& s = samples[si];
-      const gnn::GraphPlan plan = gnn::GraphPlan::build(s.graph, models_[0]->needs_homo());
       CircuitPrediction cp;
       cp.name = s.name;
       cp.truth = s.target_values(dataset::TargetKind::kCap);
-      cp.pred =
-          predict_with_plan(s, plan, attributions != nullptr ? &(*attributions)[si] : nullptr);
+      cp.pred = predict(s, {}, attributions != nullptr ? &(*attributions)[si] : nullptr);
       result.circuits[si] = std::move(cp);
     }
   });

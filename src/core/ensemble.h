@@ -1,17 +1,15 @@
 // Ensemble modeling for net parasitic capacitance (paper Section IV,
 // Algorithm 2): K models trained with ascending max prediction values;
 // a net's prediction comes from the highest-range model whose prediction
-// exceeds the next-lower model's range.
+// exceeds the next-lower model's range. CapEnsemble::predict is the
+// ensemble's one inference entry point: the members' predict_all
+// (core/predictor.h) run under the caller's PredictOptions.
 #pragma once
 
 #include <memory>
 #include <vector>
 
 #include "core/predictor.h"
-
-namespace paragraph::gnn {
-class PlanCache;  // gnn/plan_cache.h
-}
 
 namespace paragraph::core {
 
@@ -47,15 +45,15 @@ class CapEnsemble {
   // Trains all K member models on ds.train.
   void train(const dataset::SuiteDataset& ds);
 
-  // Algorithm 2: per-net capacitance prediction [fF] for every net node.
-  // Each member applies its own normaliser (members may differ).
-  std::vector<float> predict(const dataset::Sample& sample) const;
-
-  // Same, reusing a caller-built GraphPlan shared across the K members.
-  // `attribution`, when non-null, receives the Algorithm 2 winner per net
-  // and the adjacent-member boundary statistics.
-  std::vector<float> predict_with_plan(const dataset::Sample& sample, const gnn::GraphPlan& plan,
-                                       MemberAttribution* attribution = nullptr) const;
+  // Algorithm 2: per-net capacitance prediction [fF] for every net node,
+  // a plain loop of GnnPredictor::predict_all over the members. Each member
+  // applies its own normaliser (members may differ). `opts` is handed to
+  // every member; when it names neither a plan nor a cache, one plan is
+  // built and shared across the members. `attribution`, when non-null,
+  // receives the Algorithm 2 winner per net and the adjacent-member
+  // boundary statistics.
+  std::vector<float> predict(const dataset::Sample& sample, const PredictOptions& opts = {},
+                             MemberAttribution* attribution = nullptr) const;
 
   // kept for e2ebench; delete when the harness moves
   std::vector<float> predict(const dataset::SuiteDataset&, const dataset::Sample& sample) const {
@@ -64,16 +62,8 @@ class CapEnsemble {
   // kept for e2ebench; delete when the harness moves
   std::vector<float> predict_with_plan(const dataset::SuiteDataset&, const dataset::Sample& sample,
                                        const gnn::GraphPlan& plan) const {
-    return predict_with_plan(sample, plan);
+    return predict(sample, {.plan = &plan});
   }
-
-  // Hierarchy-aware variant for long-lived callers (the serve worker):
-  // each member runs through the shared PlanCache, so repeated subckt
-  // templates hit memoized plans/embeddings across requests. Results are
-  // bit-identical to predict(); samples without cacheable hierarchy fall
-  // back to the plain per-member path inside GnnPredictor.
-  std::vector<float> predict_with_cache(const dataset::Sample& sample,
-                                        gnn::PlanCache& cache) const;
 
   // Evaluates over the full truth range (no max_v filtering).
   // `attributions`, when non-null, receives one MemberAttribution per
@@ -115,12 +105,6 @@ class CapEnsemble {
 
  private:
   CapEnsemble() = default;
-
-  // The Algorithm 2 cascade over per-member prediction vectors;
-  // `predict_member(i)` supplies member i's predict_all output.
-  template <typename PredictMemberFn>
-  std::vector<float> cascade(const PredictMemberFn& predict_member,
-                             MemberAttribution* attribution) const;
 
   EnsembleConfig config_;
   std::vector<std::unique_ptr<GnnPredictor>> models_;  // ascending max_v

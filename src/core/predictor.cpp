@@ -746,66 +746,50 @@ EvalResult GnnPredictor::evaluate(dataset::ShardStore& store, bool test_split) c
   return result;
 }
 
-std::vector<float> GnnPredictor::predict_all(const Sample& sample) const {
-  const gnn::GraphPlan plan = gnn::GraphPlan::build(sample.graph, needs_homo());
-  return predict_all(sample, plan);
-}
-
 std::vector<float> GnnPredictor::predict_all(const Sample& sample,
-                                             const gnn::GraphPlan& plan) const {
+                                             const PredictOptions& opts) const {
   PARAGRAPH_TIMED_SCOPE("predict");
   std::vector<float> out;
-  infer(sample, [&] { return embedding_->embed(make_batch(sample.graph, &plan)); }, &out);
-  return out;
-}
-
-std::vector<float> GnnPredictor::predict_all(const Sample& sample, gnn::PlanCache& cache) const {
-  PARAGRAPH_TIMED_SCOPE("predict");
-  const auto embed_fn = [&](const graph::HeteroGraph& g,
-                            const gnn::GraphPlan& plan) -> gnn::TypeTensors {
-    return embedding_->embed(make_batch(g, &plan));
-  };
-  // Memoized embeddings depend on the weights AND the normalisation the
-  // batch builder applies, so both feed the cache key.
-  const std::uint64_t key = model_key_ ^ (normalizer_.fingerprint() * 0x9e3779b97f4a7c15ULL);
-  std::vector<float> out;
-  infer(sample, [&] {
-    std::array<Matrix, graph::kNumNodeTypes> z;
-    if (!cache.embed_hierarchical(sample.netlist, sample.graph, config_.num_layers, needs_homo(),
-                                  key, embed_fn, &z)) {
-      const gnn::GraphPlan plan = gnn::GraphPlan::build(sample.graph, needs_homo());
-      return embed_fn(sample.graph, plan);
-    }
-    gnn::TypeTensors emb;
-    for (std::size_t t = 0; t < graph::kNumNodeTypes; ++t)
-      if (z[t].rows() != 0) emb[t] = Tensor(std::move(z[t]));
-    return emb;
-  }, &out);
+  infer(sample, opts, nullptr, &out);
   return out;
 }
 
 nn::Matrix GnnPredictor::embeddings(const Sample& sample, NodeType type) const {
-  const gnn::GraphPlan plan = gnn::GraphPlan::build(sample.graph, needs_homo());
-  const gnn::TypeTensors emb =
-      infer(sample, [&] { return embedding_->embed(make_batch(sample.graph, &plan)); }, nullptr);
+  const gnn::TypeTensors emb = infer(sample, {}, nullptr, nullptr);
   const Tensor& z = emb[static_cast<std::size_t>(type)];
   return z.defined() ? z.value() : Matrix();
 }
 
 gnn::AttentionRecord GnnPredictor::attention_analysis(const Sample& sample) const {
-  const gnn::GraphPlan plan = gnn::GraphPlan::build(sample.graph, needs_homo());
-  GraphBatch batch = make_batch(sample.graph, &plan);
   gnn::AttentionRecord record;
-  batch.attention_out = &record;
-  infer(sample, [&] { return embedding_->embed(batch); }, nullptr);
+  infer(sample, {}, &record, nullptr);
   return record;
 }
 
-gnn::TypeTensors GnnPredictor::infer(const Sample& sample,
-                                     const std::function<gnn::TypeTensors()>& embed,
+gnn::TypeTensors GnnPredictor::infer(const Sample& sample, const PredictOptions& opts,
+                                     gnn::AttentionRecord* attention,
                                      std::vector<float>* pred) const {
   const nn::NoGradGuard no_grad;
-  gnn::TypeTensors emb = embed();
+  const auto embed = [&](const graph::HeteroGraph& g, const gnn::GraphPlan& plan) {
+    GraphBatch batch = make_batch(g, &plan);
+    batch.attention_out = attention;
+    return embedding_->embed(batch);
+  };
+  gnn::TypeTensors emb;
+  std::array<Matrix, graph::kNumNodeTypes> cached;
+  // Memoized embeddings depend on the weights AND the normalisation the
+  // batch builder applies, so both feed the cache key.
+  if (opts.cache != nullptr &&
+      opts.cache->embed_hierarchical(
+          sample.netlist, sample.graph, config_.num_layers, needs_homo(),
+          model_key_ ^ (normalizer_.fingerprint() * 0x9e3779b97f4a7c15ULL), embed, &cached)) {
+    for (std::size_t t = 0; t < graph::kNumNodeTypes; ++t)
+      if (cached[t].rows() != 0) emb[t] = Tensor(std::move(cached[t]));
+  } else if (opts.plan != nullptr) {
+    emb = embed(sample.graph, *opts.plan);
+  } else {
+    emb = embed(sample.graph, gnn::GraphPlan::build(sample.graph, needs_homo()));
+  }
   if (pred == nullptr) return emb;
   const auto& types = dataset::target_node_types(config_.target);
   for (std::size_t slot = 0; slot < types.size(); ++slot) {

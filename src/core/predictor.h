@@ -1,6 +1,9 @@
 // ParaGraph predictor: embedding model + FC regression head, target
 // scaling, and the training/evaluation loop. This is the paper's primary
-// contribution assembled from the substrates.
+// contribution assembled from the substrates. Every prediction goes
+// through one entry point, GnnPredictor::predict_all(sample,
+// PredictOptions), whose options choose only how the graph plan is
+// obtained (shared plan, PlanCache or a fresh one), never the values.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +25,18 @@ class ShardStore;  // dataset/shards.h
 }
 
 namespace paragraph::core {
+
+// How an inference call obtains its graph plan; the predictions are the
+// same bytes whichever is used (gnn/plan_cache.h explains why for the
+// cache). `cache` is tried first: when it accepts the sample's hierarchy,
+// memoized per-template plans and interior embeddings are reused and the
+// model runs only on the reduced graph. Otherwise `plan` is used if set —
+// it must have been built with the model's needs_homo() — and otherwise
+// one plan is built for the call.
+struct PredictOptions {
+  const gnn::GraphPlan* plan = nullptr;
+  gnn::PlanCache* cache = nullptr;
+};
 
 struct PredictorConfig {
   gnn::ModelKind model = gnn::ModelKind::kParaGraph;
@@ -193,18 +208,10 @@ class GnnPredictor {
   EvalResult evaluate(dataset::ShardStore& store, bool test_split = true) const;
 
   // Raw-unit predictions for ALL nodes of the target's node types,
-  // concatenated in (type slot, node) order. Used by Algorithm 2.
-  std::vector<float> predict_all(const dataset::Sample& sample) const;
-
-  // Same, reusing a caller-built GraphPlan (batched inference paths build
-  // the plan once per circuit and share it across models/calls).
-  std::vector<float> predict_all(const dataset::Sample& sample, const gnn::GraphPlan& plan) const;
-
-  // Hierarchy-aware variant: memoizes per-subckt-template plans and
-  // interior embeddings in `cache`, running the model only on the reduced
-  // graph. Bit-identical to the plain overloads (gnn/plan_cache.h explains
-  // why); falls back to them when the sample has no cacheable hierarchy.
-  std::vector<float> predict_all(const dataset::Sample& sample, gnn::PlanCache& cache) const;
+  // concatenated in (type slot, node) order. Used by Algorithm 2. `opts`
+  // only chooses how the graph plan is obtained (see PredictOptions).
+  std::vector<float> predict_all(const dataset::Sample& sample,
+                                 const PredictOptions& opts = {}) const;
 
   // kept for e2ebench; delete when the harness moves
   std::vector<float> predict_all(const dataset::SuiteDataset&, const dataset::Sample& s) const {
@@ -213,7 +220,7 @@ class GnnPredictor {
   // kept for e2ebench; delete when the harness moves
   std::vector<float> predict_all(const dataset::SuiteDataset&, const dataset::Sample& sample,
                                  const gnn::GraphPlan& plan) const {
-    return predict_all(sample, plan);
+    return predict_all(sample, {.plan = &plan});
   }
 
   // Identity of the current weights; reassigned whenever train() completes
@@ -274,13 +281,14 @@ class GnnPredictor {
   // The one inference forward behind predict_all, embeddings and
   // attention_analysis (and so evaluate, CapEnsemble, report, the CLI and
   // serve). Opens an nn::NoGradGuard, so no op records a backward closure
-  // and each intermediate is freed once its consumer returns; takes the
-  // per-type embeddings from `embed` and, when `pred` is non-null, appends
-  // the head's raw-unit outputs for the sample's target node types to it.
-  // train() keeps the tape.
-  gnn::TypeTensors infer(const dataset::Sample& sample,
-                         const std::function<gnn::TypeTensors()>& embed,
-                         std::vector<float>* pred) const;
+  // and each intermediate is freed once its consumer returns. Embeds
+  // through `opts.cache`, `opts.plan` or a fresh plan (PredictOptions'
+  // order). Fills `attention` when non-null (asked for only without a
+  // cache, whose template embeds would land in the record too); when
+  // `pred` is non-null, appends the head's raw-unit outputs for the
+  // sample's target node types to it. train() keeps the tape.
+  gnn::TypeTensors infer(const dataset::Sample& sample, const PredictOptions& opts,
+                         gnn::AttentionRecord* attention, std::vector<float>* pred) const;
   CircuitPrediction evaluate_circuit(const dataset::Sample& s) const;
 
   PredictorConfig config_;

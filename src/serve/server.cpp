@@ -24,6 +24,7 @@
 #include "util/bytes.h"
 #include "util/errors.h"
 #include "util/faultinject.h"
+#include "util/strings.h"
 
 namespace paragraph::serve {
 
@@ -928,30 +929,35 @@ void Server::process_batch(std::vector<Job> batch) {
       // parse, for the telemetry/error-path tests.
       if (util::fault::should_fail("serve.predict"))
         throw util::IoError("injected fault at serve.predict");
-      const bool hier = allow_cache && !g.sample.netlist.instances().empty();
+      // Hierarchical decks reuse the worker's PlanCache; the rest get one
+      // plan, built and timed here, shared by every model it fits.
+      core::PredictOptions opts;
+      gnn::GraphPlan plan;
+      if (allow_cache && !g.sample.netlist.instances().empty()) {
+        opts.cache = &plan_cache_;
+      } else {
+        const auto plan_start = std::chrono::steady_clock::now();
+        plan = gnn::GraphPlan::build(g.sample.graph, bundle->ensemble.has_value()
+                                                         ? bundle->ensemble->model(0).needs_homo()
+                                                         : bundle->models.front().needs_homo());
+        g.plan_us = us_between(plan_start, std::chrono::steady_clock::now());
+        opts.plan = &plan;
+      }
       obs::JsonValue preds = obs::JsonValue::object();
       if (bundle->ensemble.has_value()) {
-        std::vector<float> p;
-        if (hier) {
-          // Plan construction happens inside the cache-aware predict, so
-          // it stays folded into predict_us on this path.
-          p = bundle->ensemble->predict_with_cache(g.sample, plan_cache_);
-        } else {
-          const auto plan_start = std::chrono::steady_clock::now();
-          const gnn::GraphPlan plan =
-              gnn::GraphPlan::build(g.sample.graph, bundle->ensemble->model(0).needs_homo());
-          g.plan_us = us_between(plan_start, std::chrono::steady_clock::now());
-          p = bundle->ensemble->predict_with_plan(g.sample, plan);
-        }
         preds.set(dataset::target_name(dataset::TargetKind::kCap),
-                  named_predictions(g.sample, dataset::TargetKind::kCap, p));
+                  named_predictions(g.sample, dataset::TargetKind::kCap,
+                                    bundle->ensemble->predict(g.sample, opts)));
       }
-      for (std::size_t m = 0; m < bundle->models.size(); ++m) {
-        const core::GnnPredictor& model = bundle->models[m];
-        const std::vector<float> p =
-            hier ? model.predict_all(g.sample, plan_cache_) : model.predict_all(g.sample);
+      for (const core::GnnPredictor& model : bundle->models) {
+        // The plan fits only models whose needs_homo() it was built with (a
+        // GAT-kind model throws on one without the homogenised view); any
+        // other model builds its own.
+        core::PredictOptions model_opts = opts;
+        if (model.needs_homo() != plan.has_homo()) model_opts.plan = nullptr;
         preds.set(dataset::target_name(model.config().target),
-                  named_predictions(g.sample, model.config().target, p));
+                  named_predictions(g.sample, model.config().target,
+                                    model.predict_all(g.sample, model_opts)));
       }
       g.predictions = std::move(preds);
       g.ok = true;
@@ -967,10 +973,9 @@ void Server::process_batch(std::vector<Job> batch) {
 
   std::vector<std::size_t> flat, hier;
   for (std::size_t gi = 0; gi < groups.size(); ++gi)
-    (groups[gi].job->netlist_text.find(".subckt") == std::string::npos &&
-     groups[gi].job->netlist_text.find(".SUBCKT") == std::string::npos
-         ? flat
-         : hier)
+    // Card heads are case-insensitive (".SubCkt" is a subckt too).
+    (util::to_lower(groups[gi].job->netlist_text).find(".subckt") == std::string::npos ? flat
+                                                                                       : hier)
         .push_back(gi);
   runtime::parallel_for("serve_predict", flat.size(), 1, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) predict_group(groups[flat[i]], false);

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -104,8 +105,9 @@ INSTANTIATE_TEST_SUITE_P(AllModelKinds, GoldenEquivalence,
                            return n;
                          });
 
-// Every inference entry point against the taped forward, on one flat deck
-// and one reduced hier_giant deck (whose repeated cells hit the PlanCache).
+// Every inference entry point, under every PredictOptions form, against the
+// taped forward, on one flat deck and one reduced hier_giant deck (whose
+// repeated cells hit the PlanCache).
 // The attention probe copies each softmax out of edge_attention while the
 // tape-free forward frees its inputs, so the sanitizer runs of this test
 // also check that nothing reads a freed intermediate.
@@ -133,16 +135,33 @@ TEST(TapeFreeInference, EveryEntryPointMatchesTheTapedForward) {
 
   const testing::TapedReference reference(predictor);
   gnn::PlanCache cache;
-  gnn::PlanCache ensemble_cache;
   for (const dataset::Sample* s : {&flat, &hier}) {
     const std::vector<float> taped = reference.predict_all(*s);
+    const std::vector<float> taped_ensemble = testing::taped_ensemble_predict(ensemble, *s);
     const gnn::GraphPlan plan = gnn::GraphPlan::build(s->graph, predictor.needs_homo());
-    EXPECT_TRUE(same_bytes(predictor.predict_all(*s), taped)) << s->name << ": no plan";
-    EXPECT_TRUE(same_bytes(predictor.predict_all(*s, plan), taped)) << s->name << ": shared plan";
-    EXPECT_TRUE(same_bytes(predictor.predict_all(*s, cache), taped)) << s->name << ": PlanCache";
-    EXPECT_TRUE(same_bytes(ensemble.predict_with_cache(*s, ensemble_cache),
-                           testing::taped_ensemble_predict(ensemble, *s)))
-        << s->name << ": ensemble PlanCache";
+    // Every PredictOptions form, on both entry points; the second cache
+    // form hits what the first memoized.
+    const std::pair<const char*, core::PredictOptions> forms[] = {
+        {"{}", {}},
+        {"{plan}", {.plan = &plan}},
+        {"{cache}", {.cache = &cache}},
+        {"{plan, cache}", {.plan = &plan, .cache = &cache}}};
+    std::vector<core::MemberAttribution> attributions;
+    for (const auto& [form, opts] : forms) {
+      EXPECT_TRUE(same_bytes(predictor.predict_all(*s, opts), taped)) << s->name << ": " << form;
+      EXPECT_TRUE(same_bytes(ensemble.predict(*s, opts), taped_ensemble))
+          << s->name << ": ensemble " << form;
+      core::MemberAttribution& attribution = attributions.emplace_back();
+      EXPECT_TRUE(same_bytes(ensemble.predict(*s, opts, &attribution), taped_ensemble))
+          << s->name << ": ensemble with attribution " << form;
+      ASSERT_EQ(attribution.member.size(), taped_ensemble.size()) << s->name << ": " << form;
+      EXPECT_EQ(attribution.member, attributions.front().member) << s->name << ": " << form;
+      ASSERT_EQ(attribution.pairs.size(), ensemble.num_models() - 1) << s->name << ": " << form;
+      for (std::size_t k = 0; k < attribution.pairs.size(); ++k)
+        EXPECT_EQ(attribution.pairs[k].disagreements,
+                  attributions.front().pairs[k].disagreements)
+            << s->name << ": " << form << " pair " << k;
+    }
 
     gnn::AttentionRecord taped_attention;
     const gnn::TypeTensors taped_emb = reference.embed(*s, plan, &taped_attention);

@@ -165,7 +165,7 @@ TEST(TapeFreeInferenceMemory, PredictPeakIsAFractionOfTheTapedForward) {
   const std::uint64_t taped_peak = t.peak_bytes();
   const std::uint64_t taped_allocs = t.allocs();
   t.reset();
-  const std::vector<float> tape_free = predictor.predict_all(s, plan);
+  const std::vector<float> tape_free = predictor.predict_all(s, {.plan = &plan});
   const std::uint64_t peak = t.peak_bytes();
   const std::uint64_t allocs = t.allocs();
   t.reset();

@@ -78,20 +78,20 @@ TEST_F(PlanCacheTest, CachedPredictIsBitwiseIdenticalAcrossThreadCounts) {
     const std::vector<float> plain = predictor.predict_all(sample);
 
     gnn::PlanCache cache(gnn::PlanCacheConfig{.min_subtree_devices = 4});
-    const std::vector<float> cached = predictor.predict_all(sample, cache);
+    const std::vector<float> cached = predictor.predict_all(sample, {.cache = &cache});
     ASSERT_GT(cache.num_entries(), 0u) << "hierarchy was not cached";
     ASSERT_EQ(cached.size(), plain.size());
     for (std::size_t i = 0; i < plain.size(); ++i)
       ASSERT_EQ(plain[i], cached[i]) << "model " << gnn::model_kind_name(model) << " node " << i;
 
     // Second call: everything served from the cache, still bit-identical.
-    const std::vector<float> again = predictor.predict_all(sample, cache);
+    const std::vector<float> again = predictor.predict_all(sample, {.cache = &cache});
     for (std::size_t i = 0; i < plain.size(); ++i) ASSERT_EQ(plain[i], again[i]);
 
     // Same predictions at 4 threads, cached and uncached alike.
     runtime::set_num_threads(4);
     const std::vector<float> plain4 = predictor.predict_all(sample);
-    const std::vector<float> cached4 = predictor.predict_all(sample, cache);
+    const std::vector<float> cached4 = predictor.predict_all(sample, {.cache = &cache});
     runtime::set_num_threads(1);
     for (std::size_t i = 0; i < plain.size(); ++i) {
       ASSERT_EQ(plain[i], plain4[i]);
@@ -110,7 +110,7 @@ TEST_F(PlanCacheTest, CountersAccountForStructuralAndEmbeddingReuse) {
   const double hits0 = counter("plancache.hits");
   const double misses0 = counter("plancache.misses");
 
-  predictor.predict_all(sample, cache);
+  predictor.predict_all(sample, {.cache = &cache});
   // One structural build + one embedding compute; the other five instances
   // of the template hit the embedding computed within the same call.
   EXPECT_EQ(counter("plancache.misses") - misses0, 2.0);
@@ -119,7 +119,7 @@ TEST_F(PlanCacheTest, CountersAccountForStructuralAndEmbeddingReuse) {
   EXPECT_EQ(obs::MetricsRegistry::instance().gauge("plancache.bytes").value(),
             static_cast<double>(cache.bytes()));
 
-  predictor.predict_all(sample, cache);
+  predictor.predict_all(sample, {.cache = &cache});
   // Second call: no new builds, all six instances hit.
   EXPECT_EQ(counter("plancache.misses") - misses0, 2.0);
   EXPECT_EQ(counter("plancache.hits") - hits0, 11.0);
@@ -138,7 +138,7 @@ TEST_F(PlanCacheTest, ModelRetrainRetiresMemoizedEmbeddings) {
   predictor.set_normalizer(ds.normalizer);
 
   gnn::PlanCache cache(gnn::PlanCacheConfig{.min_subtree_devices = 4});
-  predictor.predict_all(sample, cache);
+  predictor.predict_all(sample, {.cache = &cache});
   const std::uint64_t key_before = predictor.model_key();
   predictor.train(ds);
   EXPECT_NE(predictor.model_key(), key_before);
@@ -146,7 +146,7 @@ TEST_F(PlanCacheTest, ModelRetrainRetiresMemoizedEmbeddings) {
   // Post-train predictions through the same cache match the plain path —
   // the stale pre-train embedding must not be served.
   const std::vector<float> plain = predictor.predict_all(sample);
-  const std::vector<float> cached = predictor.predict_all(sample, cache);
+  const std::vector<float> cached = predictor.predict_all(sample, {.cache = &cache});
   ASSERT_EQ(cached.size(), plain.size());
   for (std::size_t i = 0; i < plain.size(); ++i) ASSERT_EQ(plain[i], cached[i]);
 }

@@ -107,7 +107,23 @@ X2 b c inv
 X3 c d inv
 C1 d vss 1f
 )");
+  // Two instances of a 16-device inverter chain, the smallest template the
+  // PlanCache memoizes (PlanCacheConfig::min_subtree_devices), so the
+  // second instance hits. The mixed-case head must still route the deck
+  // to the cache pass.
+  std::string chain = ".SubCkt chain8 in out\n";
+  for (int i = 1; i <= 8; ++i) {
+    const std::string a = i == 1 ? "in" : "n" + std::to_string(i - 1);
+    const std::string y = i == 8 ? "out" : "n" + std::to_string(i);
+    chain += "Mn" + std::to_string(i) + " " + y + " " + a + " vss vss nmos L=16n W=32n\n";
+    chain += "Mp" + std::to_string(i) + " " + y + " " + a + " vdd vdd pmos L=16n W=64n\n";
+  }
+  decks.push_back(chain + ".Ends\nX1 a b chain8\nX2 b c chain8\nC1 c vss 1f\n");
   return decks;
+}
+
+std::uint64_t plancache_hits() {
+  return obs::MetricsRegistry::instance().counter("plancache.hits").value();
 }
 
 std::string predictions_of(const obs::JsonValue& resp) {
@@ -162,6 +178,7 @@ TEST(RequestQueue, PopBatchTakesAtMostMaxBatch) {
 
 TEST(Serve, BatchedResponsesBitIdenticalToSingle) {
   const auto decks = test_decks();
+  const std::uint64_t hits_before = plancache_hits();
 
   // Pass 1: micro-batching on; hold the queue so the backlog forms and
   // the whole set is answered in one batch.
@@ -214,6 +231,7 @@ TEST(Serve, BatchedResponsesBitIdenticalToSingle) {
     }
     server.stop();
   }
+  EXPECT_GT(plancache_hits(), hits_before) << "the chain8 deck should hit the PlanCache";
 }
 
 TEST(Serve, DuplicateRequestsCoalesceToOnePrediction) {
@@ -538,6 +556,7 @@ TEST(Serve, MixedSuiteEnsembleUsesEachMembersNormalizer) {
     if (borrowed.predict_all(s) != ens.model(1).predict_all(s)) normalizer_matters = true;
   }
   ASSERT_TRUE(normalizer_matters);
+  const std::uint64_t hits_before = plancache_hits();
 
   {
     Server server(base_config("mixed_suite", ens_path));
@@ -551,6 +570,7 @@ TEST(Serve, MixedSuiteEnsembleUsesEachMembersNormalizer) {
     }
     server.stop();
   }
+  EXPECT_GT(plancache_hits(), hits_before) << "the chain8 deck should hit the PlanCache";
   {
     ServeConfig cfg = base_config("mixed_suite_model", "");
     cfg.registry.model_paths = {ens_path + ".m1"};
