@@ -85,13 +85,8 @@ ClassicalPredictor::ClassicalPredictor(LearnerKind learner, TargetKind target, d
 
 void ClassicalPredictor::fit(const SuiteDataset& ds) {
   PARAGRAPH_TIMED_SCOPE("baseline_fit");
-  if (target_ == TargetKind::kCap) {
-    scaler_ = TargetScaler::for_cap(max_v_ff_);
-  } else if (target_ == TargetKind::kRes) {
-    scaler_ = TargetScaler::fit_log_zscore(SuiteDataset::pooled_targets(ds.train, target_));
-  } else {
-    scaler_ = TargetScaler::fit_zscore(SuiteDataset::pooled_targets(ds.train, target_));
-  }
+  scaler_ = TargetScaler::for_target(target_, max_v_ff_,
+                                     SuiteDataset::pooled_targets(ds.train, target_));
   std::vector<std::vector<float>> x_rows;
   std::vector<float> y;
   std::size_t dim = 0;
@@ -133,14 +128,7 @@ EvalResult run_classical(const LearnerConfig& config, const SuiteDataset& ds) {
   // Scaling mirrors the GNN path so the comparison is apples-to-apples.
   ClassicalPredictor predictor(config.learner, config.target, config.max_v_ff);
   predictor.fit(ds);
-  TargetScaler scaler;
-  if (config.target == TargetKind::kCap) {
-    scaler = TargetScaler::for_cap(config.max_v_ff);
-  } else if (config.target == TargetKind::kRes) {
-    scaler = TargetScaler::fit_log_zscore(SuiteDataset::pooled_targets(ds.train, config.target));
-  } else {
-    scaler = TargetScaler::fit_zscore(SuiteDataset::pooled_targets(ds.train, config.target));
-  }
+  const TargetScaler& scaler = predictor.scaler();
   EvalResult result;
   for (const Sample& s : ds.test) {
     const auto raw = pooled_raw(s, config.target);

@@ -54,6 +54,8 @@ class ClassicalPredictor {
   void fit(const dataset::SuiteDataset& ds);
   // Raw-unit predictions for all nodes of the target's node types.
   std::vector<float> predict_all(const dataset::Sample& sample) const;
+  // The target scaler fit() chose (TargetScaler::for_target).
+  const TargetScaler& scaler() const { return scaler_; }
 
  private:
   LearnerKind learner_;

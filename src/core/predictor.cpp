@@ -7,6 +7,7 @@
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "core/checkpoint.h"
 #include "core/serialize.h"
@@ -36,6 +37,15 @@ using nn::Matrix;
 using nn::Tensor;
 
 // ------------------------------------------------------ TargetScaler ----
+
+TargetScaler TargetScaler::for_target(TargetKind target, double max_v_ff,
+                                      const std::vector<float>& pooled) {
+  switch (target) {
+    case TargetKind::kCap: return for_cap(max_v_ff);
+    case TargetKind::kRes: return fit_log_zscore(pooled);
+    default: return fit_zscore(pooled);
+  }
+}
 
 TargetScaler TargetScaler::for_cap(double max_v_ff) {
   TargetScaler s;
@@ -159,38 +169,97 @@ GraphBatch GnnPredictor::make_batch(const graph::HeteroGraph& g,
 }
 
 struct GnnPredictor::Prepared {
+  std::shared_ptr<const Sample> sample;  // backs the batch's graph
   std::unique_ptr<gnn::GraphPlan> plan;
   GraphBatch batch;                  // points into the sample's graph
   std::vector<nn::IndexHandle> idx;  // per type slot, in-range node ids
   std::vector<Matrix> target;        // per type slot, scaled targets
-  // Streamed path: the materialised sample the batch references. The
-  // in-memory path leaves it null (the SuiteDataset owns its samples).
-  std::shared_ptr<const Sample> owned;
 };
 
-std::shared_ptr<const GnnPredictor::Prepared> GnnPredictor::prepare_sample(
-    const Sample& s, std::shared_ptr<const Sample> owned) const {
-  const auto& types = dataset::target_node_types(config_.target);
-  auto p = std::make_shared<Prepared>();
-  p->owned = std::move(owned);
-  p->plan = std::make_unique<gnn::GraphPlan>(gnn::GraphPlan::build(s.graph, needs_homo()));
-  p->batch = make_batch(s.graph, p->plan.get());
-  bool any = false;
-  for (std::size_t slot = 0; slot < types.size(); ++slot) {
-    const auto& raw = s.target_values(config_.target, slot);
-    std::vector<std::int32_t> idx;
-    std::vector<float> scaled;
-    for (std::size_t i = 0; i < raw.size(); ++i) {
-      if (!scaler_.in_range(raw[i])) continue;
-      idx.push_back(static_cast<std::int32_t>(i));
-      scaled.push_back(scaler_.transform(raw[i]));
-    }
-    p->idx.push_back(nn::make_index(std::move(idx)));
-    p->target.emplace_back(scaled.size(), 1, std::move(scaled));
-    if (!p->idx.back()->empty()) any = true;
+// Entries are priced at twice ShardStore::sample_bytes (plans and batches
+// roughly double the materialised sample). add() registers the eligible
+// samples in train order and prepares each at once until one does not
+// fit, so an unbounded budget prepares everything before epoch 0. get()
+// prepares any other sample on demand, then evicts least-recently-used
+// entries (never the one just asked for) until the budget holds again.
+class GnnPredictor::PreparedLru {
+ public:
+  PreparedLru(const GnnPredictor& owner, const SampleFetch& fetch, std::size_t budget_bytes)
+      : owner_(owner), fetch_(fetch), budget_(budget_bytes) {}
+
+  std::size_t size() const { return eligible_.size(); }
+
+  void add(std::size_t source_index, std::shared_ptr<const Sample> s) {
+    eligible_.push_back(source_index);
+    if (!filling_) return;
+    const std::size_t bytes = dataset::ShardStore::sample_bytes(*s) * 2;
+    filling_ = bytes <= budget_ - bytes_;
+    if (filling_) prepare(eligible_.size() - 1, std::move(s), bytes);
   }
-  return any ? p : nullptr;
-}
+
+  std::shared_ptr<const Prepared> get(std::size_t k) {
+    if (const auto it = pins_.find(k); it != pins_.end()) {
+      it->second.tick = ++tick_;
+      return it->second.p;
+    }
+    std::shared_ptr<const Sample> s = fetch_(eligible_[k]);
+    const std::size_t bytes = dataset::ShardStore::sample_bytes(*s) * 2;
+    return prepare(k, std::move(s), bytes);
+  }
+
+ private:
+  struct Pin {
+    std::shared_ptr<const Prepared> p;
+    std::size_t bytes = 0;
+    std::uint64_t tick = 0;
+  };
+
+  // Builds entry k: plan, normalised batch, per-slot in-range indices and
+  // scaled targets.
+  std::shared_ptr<const Prepared> prepare(std::size_t k, std::shared_ptr<const Sample> s,
+                                          std::size_t bytes) {
+    const auto& types = dataset::target_node_types(owner_.config_.target);
+    auto p = std::make_shared<Prepared>();
+    p->sample = std::move(s);
+    const graph::HeteroGraph& g = p->sample->graph;
+    p->plan = std::make_unique<gnn::GraphPlan>(gnn::GraphPlan::build(g, owner_.needs_homo()));
+    p->batch = owner_.make_batch(g, p->plan.get());
+    for (std::size_t slot = 0; slot < types.size(); ++slot) {
+      const auto& raw = p->sample->target_values(owner_.config_.target, slot);
+      std::vector<std::int32_t> idx;
+      std::vector<float> scaled;
+      for (std::size_t i = 0; i < raw.size(); ++i) {
+        if (!owner_.scaler_.in_range(raw[i])) continue;
+        idx.push_back(static_cast<std::int32_t>(i));
+        scaled.push_back(owner_.scaler_.transform(raw[i]));
+      }
+      p->idx.push_back(nn::make_index(std::move(idx)));
+      p->target.emplace_back(scaled.size(), 1, std::move(scaled));
+    }
+    // The newest tick is k's, so the minimum is never k while others remain.
+    pins_[k] = Pin{p, bytes, ++tick_};
+    bytes_ += bytes;
+    while (bytes_ > budget_ && pins_.size() > 1) {
+      const auto victim =
+          std::ranges::min_element(pins_, {}, [](const auto& e) { return e.second.tick; });
+      bytes_ -= victim->second.bytes;
+      pins_.erase(victim);
+    }
+    if (obs::enabled())
+      obs::MetricsRegistry::instance().gauge("shards.prepared_bytes").set(
+          static_cast<double>(bytes_));
+    return p;
+  }
+
+  const GnnPredictor& owner_;
+  const SampleFetch& fetch_;
+  const std::size_t budget_;
+  std::vector<std::size_t> eligible_;  // source index per eligible sample
+  std::unordered_map<std::size_t, Pin> pins_;
+  std::size_t bytes_ = 0;
+  std::uint64_t tick_ = 0;
+  bool filling_ = true;
+};
 
 namespace {
 
@@ -208,128 +277,72 @@ double global_grad_norm(const std::vector<Tensor>& params) {
 
 std::vector<double> GnnPredictor::train(const SuiteDataset& ds, const EpochCallback& on_epoch,
                                         const TrainOptions& options) {
-  PARAGRAPH_TIMED_SCOPE("train");
-  normalizer_ = ds.normalizer;
-
-  // Drift reference: what "inputs like the training set" looks like.
-  // Persisted with the model (format v5) and compared against live
-  // inference inputs by eval::check_drift.
-  sketches_ = eval::sketch_graphs(ds.train);
-
-  if (config_.target == TargetKind::kRes) {
-    scaler_ = TargetScaler::fit_log_zscore(SuiteDataset::pooled_targets(ds.train, config_.target));
-  } else if (config_.target != TargetKind::kCap) {
-    scaler_ = TargetScaler::fit_zscore(SuiteDataset::pooled_targets(ds.train, config_.target));
-  }
-
-  // Precompute the graph plan, batch, per-slot training indices, and
-  // scaled targets once per sample; every epoch's forward reuses them.
-  std::vector<std::shared_ptr<const Prepared>> prepared;
-  {
-    PARAGRAPH_TIMED_SCOPE("prepare");
-    for (const Sample& s : ds.train)
-      if (auto p = prepare_sample(s, nullptr)) prepared.push_back(std::move(p));
-  }
-  PreparedSource src;
-  src.count = prepared.size();
-  src.get = [&prepared](std::size_t i) { return prepared[i]; };
-  return train_impl(src, on_epoch, options);
+  // Non-owning pointers: ds outlives the call, and no Sample is copied.
+  const SampleFetch fetch = [&ds](std::size_t i) {
+    return std::shared_ptr<const Sample>(std::shared_ptr<const Sample>(), &ds.train[i]);
+  };
+  return train_from(ds.train.size(), fetch, ds.normalizer,
+                    std::numeric_limits<std::size_t>::max(), on_epoch, options);
 }
 
 std::vector<double> GnnPredictor::train(dataset::ShardStore& store, const EpochCallback& on_epoch,
                                         const TrainOptions& options) {
+  const SampleFetch fetch = [&store](std::size_t i) { return store.train(i); };
+  return train_from(store.num_train(), fetch, store.normalizer(),
+                    store.config().max_resident_bytes, on_epoch, options);
+}
+
+std::vector<double> GnnPredictor::train_from(std::size_t count, const SampleFetch& fetch,
+                                             const dataset::FeatureNormalizer& normalizer,
+                                             std::size_t budget_bytes,
+                                             const EpochCallback& on_epoch,
+                                             const TrainOptions& options) {
   PARAGRAPH_TIMED_SCOPE("train");
-  normalizer_ = store.normalizer();
-  const std::size_t n = store.num_train();
-  const auto& types = dataset::target_node_types(config_.target);
-
-  // Drift sketches in two streaming passes (range fit, then fill) —
-  // bit-identical to eval::sketch_graphs over the materialised set.
+  normalizer_ = normalizer;
   {
+    // Drift reference: what "inputs like the training set" looks like.
+    // Persisted with the model (format v5) and compared against live
+    // inference inputs by eval::check_drift.
     PARAGRAPH_TIMED_SCOPE("sketch");
-    eval::SketchBuilder sb;
-    for (std::size_t i = 0; i < n; ++i) sb.observe_range(*store.train(i));
-    sb.begin_fill();
-    for (std::size_t i = 0; i < n; ++i) sb.observe_values(*store.train(i));
-    sketches_ = sb.finish();
-  }
-
-  if (config_.target != TargetKind::kCap) {
-    // Same pooling order as SuiteDataset::pooled_targets.
-    std::vector<float> pooled;
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto s = store.train(i);
+    eval::SketchBuilder sketch;
+    for (std::size_t i = 0; i < count; ++i) sketch.observe_range(*fetch(i));
+    sketch.begin_fill();
+    std::vector<float> pooled;  // SuiteDataset::pooled_targets order
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::shared_ptr<const Sample> s = fetch(i);
+      sketch.observe_values(*s);
       for (const auto& vec : s->targets[static_cast<std::size_t>(config_.target)])
         pooled.insert(pooled.end(), vec.begin(), vec.end());
     }
-    scaler_ = config_.target == TargetKind::kRes ? TargetScaler::fit_log_zscore(pooled)
-                                                 : TargetScaler::fit_zscore(pooled);
+    sketches_ = sketch.finish();
+    scaler_ = TargetScaler::for_target(config_.target, config_.max_v_ff, pooled);
   }
 
-  // Eligible samples (any in-range target) in train order — the same
-  // filter the in-memory path applies while preparing.
-  std::vector<std::size_t> eligible;
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto s = store.train(i);
-    bool any = false;
-    for (std::size_t slot = 0; slot < types.size() && !any; ++slot)
-      for (const float raw : s->target_values(config_.target, slot))
-        if (scaler_.in_range(raw)) {
-          any = true;
-          break;
-        }
-    if (any) eligible.push_back(i);
+  // A sample trains only if some target is in the scaler's range; the
+  // shuffle stream then depends only on how many do.
+  const auto& types = dataset::target_node_types(config_.target);
+  const auto eligible = [&](const Sample& s) {
+    for (std::size_t slot = 0; slot < types.size(); ++slot)
+      for (const float raw : s.target_values(config_.target, slot))
+        if (scaler_.in_range(raw)) return true;
+    return false;
+  };
+  PreparedLru samples(*this, fetch, budget_bytes);
+  {
+    // The plan, batch, indices and scaled targets are built once per
+    // sample and reused by every epoch that finds them still resident.
+    PARAGRAPH_TIMED_SCOPE("prepare");
+    for (std::size_t i = 0; i < count; ++i)
+      if (std::shared_ptr<const Sample> s = fetch(i); eligible(*s)) samples.add(i, std::move(s));
   }
-
-  // LRU over prepared samples: plans/batches roughly double the
-  // materialised sample, so price entries at 2x the store's estimator
-  // and cap at the same byte budget the store enforces for raw samples.
-  struct Pin {
-    std::shared_ptr<const Prepared> p;
-    std::size_t bytes = 0;
-    std::uint64_t tick = 0;
-  };
-  auto cache = std::make_shared<std::unordered_map<std::size_t, Pin>>();
-  auto state = std::make_shared<std::pair<std::size_t, std::uint64_t>>(0, 0);  // bytes, tick
-
-  PreparedSource src;
-  src.count = eligible.size();
-  src.get = [this, &store, eligible, cache, state](std::size_t k) {
-    auto& [cache_bytes, tick] = *state;
-    ++tick;
-    if (const auto it = cache->find(k); it != cache->end()) {
-      it->second.tick = tick;
-      return it->second.p;
-    }
-    const std::shared_ptr<const Sample> s = store.train(eligible[k]);
-    auto p = prepare_sample(*s, s);
-    if (!p)
-      throw std::logic_error("GnnPredictor::train: sample lost its in-range targets mid-run");
-    const std::size_t bytes = dataset::ShardStore::sample_bytes(*s) * 2;
-    cache_bytes += bytes;
-    (*cache)[k] = Pin{p, bytes, tick};
-    while (cache_bytes > store.config().max_resident_bytes && cache->size() > 1) {
-      auto victim = cache->end();
-      for (auto it = cache->begin(); it != cache->end(); ++it)
-        if (it->first != k && (victim == cache->end() || it->second.tick < victim->second.tick))
-          victim = it;
-      if (victim == cache->end()) break;
-      cache_bytes -= victim->second.bytes;
-      cache->erase(victim);
-    }
-    if (obs::enabled())
-      obs::MetricsRegistry::instance().gauge("shards.prepared_bytes").set(
-          static_cast<double>(cache_bytes));
-    return p;
-  };
-  return train_impl(src, on_epoch, options);
+  return train_impl(samples, on_epoch, options);
 }
 
-std::vector<double> GnnPredictor::train_impl(const PreparedSource& src,
+std::vector<double> GnnPredictor::train_impl(PreparedLru& samples,
                                              const EpochCallback& on_epoch,
                                              const TrainOptions& options) {
   const auto& types = dataset::target_node_types(config_.target);
-  if (src.count == 0) throw std::logic_error("GnnPredictor::train: no training data in range");
+  if (samples.size() == 0) throw std::logic_error("GnnPredictor::train: no training data in range");
 
   std::vector<Tensor> params = parameters();
   nn::Adam opt(params, config_.learning_rate);
@@ -337,36 +350,22 @@ std::vector<double> GnnPredictor::train_impl(const PreparedSource& src,
 
   // Graph-level data parallelism (batch_size > 1): each of the B circuits
   // in a step runs forward/backward against its own replica of the model
-  // (identical construction seed -> identical parameter layout), and the
-  // replica gradients are merged in circuit order and averaged before the
-  // single Adam step. Replica forward/backward runs one circuit per pool
-  // chunk; kernels inside a chunk execute inline, so per-circuit results
-  // match the serial computation exactly and the merged gradient is
-  // identical at any thread count.
+  // (a predictor built from the same config, so the same parameter
+  // layout), and the replica gradients are merged in circuit order and
+  // averaged before the single Adam step. Replica forward/backward runs
+  // one circuit per pool chunk; kernels inside a chunk execute inline, so
+  // per-circuit results match the serial computation exactly and the
+  // merged gradient is identical at any thread count.
   struct Replica {
-    std::unique_ptr<gnn::EmbeddingModel> embedding;
-    std::unique_ptr<nn::Mlp> head;
+    GnnPredictor model;
     std::vector<Tensor> params;
   };
   const std::size_t batch =
-      std::min<std::size_t>(std::max<std::size_t>(config_.batch_size, 1), src.count);
+      std::min<std::size_t>(std::max<std::size_t>(config_.batch_size, 1), samples.size());
   std::vector<Replica> replicas;
-  if (batch > 1) {
-    for (std::size_t r = 0; r < batch; ++r) {
-      util::Rng rng(config_.seed * 0x9e3779b9ULL + 17);
-      Replica rep;
-      rep.embedding = gnn::make_model(config_.model, config_.embed_dim, config_.num_layers, rng,
-                                      config_.attention_heads);
-      std::vector<std::size_t> dims(config_.effective_fc_layers(), config_.embed_dim);
-      dims.push_back(1);
-      rep.head = std::make_unique<nn::Mlp>(dims, rng);
-      rep.params = rep.embedding->parameters();
-      const auto hp = rep.head->parameters();
-      rep.params.insert(rep.params.end(), hp.begin(), hp.end());
-      if (rep.params.size() != params.size())
-        throw std::logic_error("GnnPredictor::train: replica parameter layout mismatch");
-      replicas.push_back(std::move(rep));
-    }
+  for (std::size_t r = 0; batch > 1 && r < batch; ++r) {
+    replicas.push_back({GnnPredictor(config_), {}});
+    replicas.back().params = replicas.back().model.parameters();
   }
   const auto& type_list = types;
   auto circuit_loss = [&](gnn::EmbeddingModel& emb_model, nn::Mlp& head,
@@ -469,7 +468,7 @@ std::vector<double> GnnPredictor::train_impl(const PreparedSource& src,
       obs::Logger::instance().should_log(obs::LogLevel::kDebug);
 
   std::vector<double> epoch_losses;
-  std::vector<std::size_t> order(src.count);
+  std::vector<std::size_t> order(samples.size());
   std::iota(order.begin(), order.end(), 0);
   if (options.resume != nullptr) {
     // The shuffle permutation is cumulative (each epoch shuffles the
@@ -504,7 +503,7 @@ std::vector<double> GnnPredictor::train_impl(const PreparedSource& src,
     double last_grad_norm = 0.0;
     if (batch == 1) {
       for (const std::size_t k : order) {
-        const std::shared_ptr<const Prepared> pinned = src.get(k);
+        const std::shared_ptr<const Prepared> pinned = samples.get(k);
         const Prepared& p = *pinned;
         Tensor loss;
         {
@@ -551,9 +550,9 @@ std::vector<double> GnnPredictor::train_impl(const PreparedSource& src,
               replicas[r].params[pi].mutable_value() = params[pi].value();
         }
         // Pin the whole group on this thread before fanning out — the
-        // source (and a streamed store behind it) is not thread-safe.
+        // LRU (and a streamed store behind it) is not thread-safe.
         std::vector<std::shared_ptr<const Prepared>> group(gcount);
-        for (std::size_t r = 0; r < gcount; ++r) group[r] = src.get(order[start + r]);
+        for (std::size_t r = 0; r < gcount; ++r) group[r] = samples.get(order[start + r]);
         std::vector<double> circuit_losses(gcount, -1.0);
         {
           PARAGRAPH_TIMED_SCOPE("forward_backward");
@@ -562,7 +561,7 @@ std::vector<double> GnnPredictor::train_impl(const PreparedSource& src,
               Replica& rep = replicas[r];
               const Prepared& p = *group[r];
               for (auto& t : rep.params) t.zero_grad();
-              Tensor loss = circuit_loss(*rep.embedding, *rep.head, p);
+              Tensor loss = circuit_loss(*rep.model.embedding_, *rep.model.head_, p);
               if (!loss.defined()) continue;
               loss.backward();
               double lv = loss.item();

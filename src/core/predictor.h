@@ -87,6 +87,12 @@ struct PredictorConfig {
 // Device parameters: z-score fit on the training pool.
 class TargetScaler {
  public:
+  // The scaler a target trains with, and the only place that chooses one:
+  // for_cap for CAP, fit_log_zscore for RES, fit_zscore for every other
+  // target. `pooled` is every training target value in sample order
+  // (ignored for CAP).
+  static TargetScaler for_target(dataset::TargetKind target, double max_v_ff,
+                                 const std::vector<float>& pooled);
   static TargetScaler for_cap(double max_v_ff);
   static TargetScaler fit_zscore(const std::vector<float>& train_values);
   // z-score in log10 space; used for the wide-range RES extension target.
@@ -189,12 +195,10 @@ class GnnPredictor {
                             const TrainOptions& options = {});
 
   // Out-of-core training, adopting store.normalizer(): samples stream
-  // from `store` through its LRU-bounded working set instead of residing
-  // wholly in memory (prepared plans/batches share the byte budget).
-  // Bit-identical to the in-memory overload on the same dataset —
-  // per-sample preparation is deterministic, the shuffle stream depends
-  // only on the eligible-sample count, and the streamed drift sketches
-  // reproduce eval::sketch_graphs exactly (eval::SketchBuilder).
+  // from `store`, and prepared plans/batches are held within the store's
+  // byte budget instead of all at once. Both overloads are adapters of
+  // one routine (train_from), so they run the same code on the same
+  // samples and produce the same bytes.
   std::vector<double> train(dataset::ShardStore& store, const EpochCallback& on_epoch = nullptr,
                             const TrainOptions& options = {});
 
@@ -261,22 +265,27 @@ class GnnPredictor {
 
  private:
   // One sample staged for training: plan, normalised batch, per-slot
-  // in-range indices and scaled targets (defined in predictor.cpp). The
-  // streamed path additionally owns the Sample backing the batch.
+  // in-range indices and scaled targets (defined in predictor.cpp).
   struct Prepared;
-  // Indexable source of prepared samples. The in-memory path serves a
-  // prebuilt vector; the streamed path materialises through an LRU so the
-  // same train_impl drives both without knowing which it has.
-  struct PreparedSource {
-    std::size_t count = 0;
-    std::function<std::shared_ptr<const Prepared>(std::size_t)> get;
-  };
-  std::vector<double> train_impl(const PreparedSource& src, const EpochCallback& on_epoch,
+  // Prepared samples within a byte budget, keyed by eligible-sample
+  // position (defined in predictor.cpp).
+  class PreparedLru;
+  // Training sample i of train_from's source. The in-memory adapter hands
+  // out non-owning pointers into its dataset, the shard adapter the
+  // store's materialised samples.
+  using SampleFetch = std::function<std::shared_ptr<const dataset::Sample>(std::size_t)>;
+  // The whole training setup behind both train() overloads, in order:
+  // adopt `normalizer`; sketch the `count` samples (range pass, then a
+  // fill pass that also pools the targets for TargetScaler::for_target);
+  // keep the samples with an in-range target, preparing them in train
+  // order until `budget_bytes` is reached; then train_impl. Passes over
+  // the source: three, plus whatever the epochs re-fetch.
+  std::vector<double> train_from(std::size_t count, const SampleFetch& fetch,
+                                 const dataset::FeatureNormalizer& normalizer,
+                                 std::size_t budget_bytes, const EpochCallback& on_epoch,
                                  const TrainOptions& options);
-  // nullptr when no target of the sample is in the scaler's range (the
-  // sample contributes nothing to training).
-  std::shared_ptr<const Prepared> prepare_sample(const dataset::Sample& s,
-                                                 std::shared_ptr<const dataset::Sample> owned) const;
+  std::vector<double> train_impl(PreparedLru& samples, const EpochCallback& on_epoch,
+                                 const TrainOptions& options);
   gnn::GraphBatch make_batch(const graph::HeteroGraph& g, const gnn::GraphPlan* plan) const;
   // The one inference forward behind predict_all, embeddings and
   // attention_analysis (and so evaluate, CapEnsemble, report, the CLI and

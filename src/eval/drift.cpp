@@ -58,47 +58,38 @@ void for_each_feature(std::span<const dataset::Sample> samples, Fn&& fn) {
 std::vector<obs::FeatureSketch> sketch_graphs(std::span<const dataset::Sample> samples,
                                               const std::vector<obs::FeatureSketch>* ref,
                                               std::size_t nbins) {
+  if (ref == nullptr) {
+    SketchBuilder builder(nbins);
+    for (const dataset::Sample& s : samples) builder.observe_range(s);
+    builder.begin_fill();
+    for (const dataset::Sample& s : samples) builder.observe_values(s);
+    return builder.finish();
+  }
   std::vector<obs::FeatureSketch> out;
   for_each_feature(samples, [&](const std::string& name, auto&& visit_values) {
     obs::FeatureSketch sketch(name);
-    if (ref != nullptr) {
-      const auto it = std::find_if(ref->begin(), ref->end(), [&](const obs::FeatureSketch& r) {
-        return r.name() == name;
-      });
-      if (it != ref->end()) sketch = obs::FeatureSketch::like(*it);
-    } else {
-      // Fit edges from the observed range; a slightly widened span keeps
-      // the extremes of the fitting set out of the overflow bins.
-      double lo = 0.0, hi = 0.0;
-      bool first = true;
-      visit_values([&](double v) {
-        if (first) {
-          lo = hi = v;
-          first = false;
-        } else {
-          lo = std::min(lo, v);
-          hi = std::max(hi, v);
-        }
-      });
-      const double pad = (hi - lo) * 0.05 + 1e-9;
-      sketch.configure_bins(lo - pad, hi + pad, nbins);
-    }
+    const auto it = std::find_if(ref->begin(), ref->end(), [&](const obs::FeatureSketch& r) {
+      return r.name() == name;
+    });
+    if (it != ref->end()) sketch = obs::FeatureSketch::like(*it);
     visit_values([&](double v) { sketch.add(v); });
     out.push_back(std::move(sketch));
   });
   return out;
 }
 
+SketchBuilder::SketchBuilder(std::size_t nbins) : nbins_(nbins) {
+  // The feature list does not depend on the samples, so an empty set
+  // still yields one (degenerate) sketch per feature.
+  for_each_feature({}, [&](const std::string& name, auto&&) { names_.push_back(name); });
+  ranges_.resize(names_.size());
+}
+
 void SketchBuilder::observe_range(const dataset::Sample& s) {
   if (filling_) throw std::logic_error("SketchBuilder::observe_range after begin_fill");
-  const std::span<const dataset::Sample> one(&s, 1);
   std::size_t idx = 0;
-  for_each_feature(one, [&](const std::string& name, auto&& visit_values) {
-    if (idx == ranges_.size()) {
-      ranges_.emplace_back();
-      names_.push_back(name);
-    }
-    Range& r = ranges_[idx];
+  for_each_feature(std::span(&s, 1), [&](const std::string&, auto&& visit_values) {
+    Range& r = ranges_[idx++];
     visit_values([&](double v) {
       if (!r.seen) {
         r.lo = r.hi = v;
@@ -108,7 +99,6 @@ void SketchBuilder::observe_range(const dataset::Sample& s) {
         r.hi = std::max(r.hi, v);
       }
     });
-    ++idx;
   });
 }
 
@@ -119,8 +109,8 @@ void SketchBuilder::begin_fill() {
     const Range& r = ranges_[i];
     const double lo = r.seen ? r.lo : 0.0;
     const double hi = r.seen ? r.hi : 0.0;
-    // Same widened span as sketch_graphs; min/max over the per-sample
-    // passes equals min/max over the concatenated stream exactly.
+    // A slightly widened span keeps the extremes of the fitting set out
+    // of the overflow bins.
     const double pad = (hi - lo) * 0.05 + 1e-9;
     sk.configure_bins(lo - pad, hi + pad, nbins_);
     sketches_.push_back(std::move(sk));
@@ -130,14 +120,10 @@ void SketchBuilder::begin_fill() {
 
 void SketchBuilder::observe_values(const dataset::Sample& s) {
   if (!filling_) throw std::logic_error("SketchBuilder::observe_values before begin_fill");
-  const std::span<const dataset::Sample> one(&s, 1);
   std::size_t idx = 0;
-  for_each_feature(one, [&](const std::string&, auto&& visit_values) {
-    if (idx >= sketches_.size())
-      throw std::logic_error("SketchBuilder: feature count changed between passes");
-    obs::FeatureSketch& sk = sketches_[idx];
+  for_each_feature(std::span(&s, 1), [&](const std::string&, auto&& visit_values) {
+    obs::FeatureSketch& sk = sketches_[idx++];
     visit_values([&](double v) { sk.add(v); });
-    ++idx;
   });
 }
 

@@ -5,10 +5,12 @@
 // node type (values sketched in signed-log1p space so multi-decade
 // physical features spread across the histogram instead of piling into
 // one bin) plus whole-graph stats (node/edge/net counts). Called without
-// a reference it fits bin edges from the observed range — this is the
-// train-time path whose result is persisted into the model artifact
-// (format v5). Called with a reference it produces bin-compatible live
-// sketches, which is what predict/evaluate maintain over incoming graphs.
+// a reference it is a SketchBuilder run over the samples, which fits the
+// bin edges from the observed range. Training builds its sketches the
+// same way (sample by sample, so a streamed dataset never has to be
+// resident at once) and persists them in the model artifact (format v5).
+// Called with a reference it produces bin-compatible live sketches, which
+// is what predict/evaluate maintain over incoming graphs.
 //
 // check_drift() scores live vs reference per feature (PSI), publishes
 // `drift.<feature>` gauges and `drift.max`, and emits one structured
@@ -38,18 +40,15 @@ obs::DriftReport check_drift(const std::vector<obs::FeatureSketch>& ref,
                              const std::vector<obs::FeatureSketch>& live,
                              double warn_threshold = kDefaultDriftWarnThreshold);
 
-// Streaming construction of the train-time sketches for out-of-core
-// datasets (dataset/shards.h), where materialising every sample at once
-// would defeat the memory bound. Protocol: observe_range() on every
-// sample (pass 1), begin_fill(), observe_values() on the SAME samples in
-// the SAME order (pass 2), finish(). The result is bit-identical to
-// sketch_graphs() over the materialised sequence: min/max is
-// order-insensitive, and each per-feature value stream arrives in the
-// same (sample, row) order either way, so the Welford moments see the
-// identical float sequence.
+// The one bin fitter: builds reference sketches one sample at a time.
+// Protocol: observe_range() on every sample (pass 1), begin_fill(),
+// observe_values() on the SAME samples in the SAME order (pass 2),
+// finish(). Min/max is order-insensitive and each per-feature value
+// stream arrives in (sample, row) order, so the result depends only on
+// the sample sequence, not on whether it was resident or streamed.
 class SketchBuilder {
  public:
-  explicit SketchBuilder(std::size_t nbins = 8) : nbins_(nbins) {}
+  explicit SketchBuilder(std::size_t nbins = 8);
 
   void observe_range(const dataset::Sample& s);
   void begin_fill();  // fixes bin edges from the observed ranges

@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "obs/flight_recorder.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace paragraph::obs {
@@ -94,7 +93,6 @@ ScopedTimer::~ScopedTimer() {
   const std::int64_t end_us = now_us();
   const double dur_us = static_cast<double>(end_us - start_us_);
   Profiler::instance().record(t_phase_path, dur_us);
-  MetricsRegistry::instance().histogram("time/" + t_phase_path).record(dur_us);
   TraceCollector& tracer = TraceCollector::instance();
   if (tracer.enabled()) tracer.add_complete(name_, "scope", start_us_, end_us - start_us_);
   FlightRecorder::instance().phase_exit();

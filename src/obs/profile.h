@@ -2,11 +2,11 @@
 //
 // A ScopedTimer pushes its name onto a thread-local phase path
 // ("train/epoch/forward/..."); on destruction it aggregates the scope's
-// wall time into the Profiler under that path, records it into the
-// metrics histogram "time/<path>" (giving p50/p95/p99 per phase), and —
-// when tracing is on — appends a Chrome trace event. The constructor
-// checks obs::enabled() once; a disabled timer records nothing and costs
-// one relaxed atomic load.
+// wall time into the Profiler under that path (the one record of phase
+// times; the metrics registry holds none) and — when tracing is on —
+// appends a Chrome trace event. The constructor checks obs::enabled()
+// once; a disabled timer records nothing and costs one relaxed atomic
+// load.
 //
 //   void train_epoch() {
 //     PARAGRAPH_TIMED_SCOPE("epoch");

@@ -24,6 +24,13 @@ ArgParser::ArgParser(int argc, const char* const* argv) {
   }
 }
 
+std::vector<std::string> ArgParser::names() const {
+  std::vector<std::string> out;
+  out.reserve(options_.size());
+  for (const auto& [name, value] : options_) out.push_back(name);
+  return out;
+}
+
 bool ArgParser::has(const std::string& name) const { return options_.contains(name); }
 
 std::string ArgParser::get(const std::string& name, const std::string& fallback) const {

@@ -22,6 +22,8 @@ class ArgParser {
   double get_double(const std::string& name, double fallback) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
+  // Every option name given, without the leading "--", sorted.
+  std::vector<std::string> names() const;
 
  private:
   std::map<std::string, std::string> options_;

@@ -61,6 +61,12 @@ TEST(ArgParser, BareDoubleDashThrows) {
   EXPECT_THROW(make({"--"}), std::invalid_argument);
 }
 
+TEST(ArgParser, NamesListsEveryOptionOnce) {
+  const auto a = make({"pack", "--scale=0.5", "--out", "d", "--json", "--out", "e"});
+  EXPECT_EQ(a.names(), (std::vector<std::string>{"json", "out", "scale"}));
+  EXPECT_TRUE(make({"file.sp"}).names().empty());
+}
+
 TEST(ArgParser, NegativeNumberAsValue) {
   // A negative number does not start with "--", so it binds as a value.
   const auto a = make({"--offset", "-3"});

@@ -253,7 +253,6 @@ TEST_F(ObsTest, DisabledTimersRecordNothing) {
     PARAGRAPH_TIMED_SCOPE("inner");
   }
   EXPECT_TRUE(paragraph::obs::Profiler::instance().nodes().empty());
-  EXPECT_EQ(paragraph::obs::MetricsRegistry::instance().histogram("time/outer").count(), 0u);
   EXPECT_EQ(paragraph::obs::TraceCollector::instance().size(), 0u);
 }
 
@@ -273,10 +272,10 @@ TEST_F(ObsTest, NestedScopesBuildPhasePaths) {
   ASSERT_TRUE(nodes.count("train/epoch/forward"));
   EXPECT_EQ(nodes.at("train/epoch/forward").count, 2u);
   EXPECT_GE(nodes.at("train").total_us, nodes.at("train/epoch").total_us);
-  // Phase times land in metrics histograms under a "time/" prefix.
-  EXPECT_EQ(
-      paragraph::obs::MetricsRegistry::instance().histogram("time/train/epoch/forward").count(),
-      2u);
+  EXPECT_GE(nodes.at("train/epoch/forward").max_us, nodes.at("train/epoch/forward").min_us);
+  // The profile is the only record of phase times: no metrics histogram
+  // mirrors a scope.
+  EXPECT_EQ(paragraph::obs::MetricsRegistry::instance().to_json().at("histograms").size(), 0u);
 }
 
 TEST_F(ObsTest, TraceFileIsWellFormed) {

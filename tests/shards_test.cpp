@@ -197,6 +197,12 @@ void expect_streamed_matches_in_memory(const core::PredictorConfig& cfg,
   for (std::size_t e = 0; e < losses_mem.size(); ++e)
     ASSERT_EQ(losses_mem[e], losses_str[e]) << "epoch " << e;
 
+  // The whole artifact: config, weights, scaler, normaliser, sketches.
+  const std::string bytes_mem = core::predictor_to_bytes(in_memory);
+  const std::string bytes_str = core::predictor_to_bytes(streamed);
+  ASSERT_EQ(bytes_mem.size(), bytes_str.size());
+  EXPECT_EQ(std::memcmp(bytes_mem.data(), bytes_str.data(), bytes_mem.size()), 0);
+
   // The streamed drift sketches must reproduce eval::sketch_graphs
   // exactly (same counts, same Welford moments, same bins).
   const auto& sk_mem = in_memory.feature_sketches();
@@ -232,6 +238,14 @@ TEST_F(ShardsTest, StreamedTrainMatchesForZscoreTargetAndBatches) {
   core::PredictorConfig cfg = small_config(dataset::TargetKind::kSourceArea);
   cfg.epochs = 1;
   cfg.batch_size = 2;
+  expect_streamed_matches_in_memory(cfg, *ds_, dir_);
+}
+
+TEST_F(ShardsTest, StreamedTrainMatchesForLogZscoreTarget) {
+  // RES is the one target whose scaler z-scores the pooled targets in
+  // log10 space.
+  core::PredictorConfig cfg = small_config(dataset::TargetKind::kRes);
+  cfg.epochs = 1;
   expect_streamed_matches_in_memory(cfg, *ds_, dir_);
 }
 

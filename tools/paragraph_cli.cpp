@@ -136,6 +136,10 @@
 //                        (default 512). Prepared plans/batches are priced
 //                        into the same budget during training.
 //
+// Every command declares the options it reads and rejects any other
+// (exit 2, with its usage on stderr); `paragraph <command> --help` prints
+// that usage to stdout and exits 0 without running the command.
+//
 // Runtime options (every command):
 //   --threads N        parallel runtime thread count (default: the
 //                      PARAGRAPH_THREADS environment variable, then the
@@ -163,10 +167,11 @@
 // Exit codes:
 //   0  success
 //   1  internal error (unexpected exception)
-//   2  usage error (unknown command, bad option value)
+//   2  usage error (unknown command or option, bad option value)
 //   3  bad input or artifact (unreadable/corrupt model, checkpoint, or
 //      netlist; SPICE parse errors)
 //   4  training diverged (persistent non-finite loss/gradients)
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -178,6 +183,7 @@
 #include <optional>
 #include <span>
 #include <sstream>
+#include <string_view>
 #include <thread>
 
 #include <unistd.h>
@@ -210,7 +216,7 @@ namespace {
 int usage() {
   std::fprintf(stderr,
                "usage: paragraph <generate|train|predict|evaluate|report|annotate|dataset|serve|client|top> [options]\n"
-               "run with a command and --help for the option list in the file header\n");
+               "run `paragraph <command> --help` for the command's options\n");
   return 2;
 }
 
@@ -1024,12 +1030,118 @@ int exit_code_for(const std::exception& e) {
   return util::kExitInternal;
 }
 
+// Options every command accepts: observability, runtime and --help.
+constexpr std::string_view kCommonOptions[] = {"threads",   "log-level", "log-jsonl", "metrics-out",
+                                               "trace-out", "mem-stats", "help"};
+
+// One entry per command: the options it reads (besides kCommonOptions)
+// and the usage printed by --help and on an unknown option.
+struct Command {
+  const char* name;
+  int (*run)(const util::ArgParser&);
+  std::vector<std::string_view> options;
+  const char* usage;
+};
+
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table = {
+      {"generate", cmd_generate, {"out", "seed", "scale"},
+       "paragraph generate [--out DIR] [--seed N] [--scale F]"},
+      {"train", cmd_train,
+       {"save", "target", "model", "epochs", "scale", "seed", "max-v", "eval-every", "batch-size",
+        "checkpoint-every", "checkpoint", "resume", "shards", "max-resident-mb"},
+       "paragraph train --save MODEL.bin [--target CAP] [--model ParaGraph]\n"
+       "                [--epochs N] [--scale F] [--seed N] [--max-v FF]\n"
+       "                [--eval-every N] [--batch-size B]\n"
+       "                [--checkpoint-every N] [--checkpoint PATH] [--resume PATH]\n"
+       "                [--shards DIR] [--max-resident-mb N]"},
+      {"predict", cmd_predict, {"model", "netlist", "drift-warn"},
+       "paragraph predict --model MODEL.bin --netlist FILE.sp [--drift-warn X]"},
+      {"evaluate", cmd_evaluate,
+       {"model", "scale", "seed", "quality-out", "drift-warn", "shards", "max-resident-mb"},
+       "paragraph evaluate --model MODEL.bin [--scale F] [--seed N]\n"
+       "                   [--quality-out PATH] [--drift-warn X]\n"
+       "                   [--shards DIR] [--max-resident-mb N]"},
+      {"report", cmd_report, {"model", "ensemble", "out", "prior", "scale", "seed", "drift-warn"},
+       "paragraph report (--model MODEL.bin | --ensemble ENS) --out PREFIX\n"
+       "                 [--prior METRICS.json] [--scale F] [--seed N] [--drift-warn X]"},
+      {"annotate", cmd_annotate, {"netlist", "seed"},
+       "paragraph annotate --netlist FILE.sp [--seed N]"},
+      {"dataset", cmd_dataset, {"out", "seed", "scale"},
+       "paragraph dataset pack --out DIR [--seed N] [--scale F]"},
+      {"serve", cmd_serve,
+       {"socket", "tcp", "ensemble", "models", "model", "queue-cap", "max-batch", "no-batching",
+        "slow-ms", "slo-p99-ms", "slo-target", "recent", "io-timeout-ms", "max-conns",
+        "client-queue-cap", "auth-token"},
+       "paragraph serve --socket PATH [--tcp PORT] [--ensemble ENS]\n"
+       "                [--models A.bin,B.bin] [--queue-cap N] [--max-batch N]\n"
+       "                [--no-batching] [--slow-ms MS] [--slo-p99-ms MS]\n"
+       "                [--slo-target F] [--recent N] [--io-timeout-ms MS]\n"
+       "                [--max-conns N] [--client-queue-cap N] [--auth-token TOK]"},
+      {"client", cmd_client,
+       {"socket", "tcp", "netlist", "priority", "request-id", "admin", "json", "deadline-ms",
+        "client", "auth-token", "retries", "timeout-ms", "id"},
+       "paragraph client --socket PATH | --tcp HOST:PORT\n"
+       "                 (--netlist FILE.sp [--priority P] [--request-id RID]\n"
+       "                  | --admin CMD) [--json] [--deadline-ms MS] [--id N]\n"
+       "                 [--client KEY] [--auth-token TOK] [--retries N]\n"
+       "                 [--timeout-ms MS]"},
+      {"top", cmd_top, {"socket", "tcp", "interval-ms", "count", "once", "json"},
+       "paragraph top --socket PATH | --tcp HOST:PORT\n"
+       "              [--interval-ms N] [--count N] [--once] [--json]"},
+  };
+  return table;
+}
+
+void print_usage(std::FILE* out, const Command& cmd) {
+  std::fprintf(out,
+               "usage: %s\n"
+               "common options: [--threads N] [--log-level L] [--log-jsonl PATH]\n"
+               "                [--metrics-out PATH] [--trace-out PATH] [--mem-stats] [--help]\n"
+               "(option details: the header of tools/paragraph_cli.cpp and README.md)\n",
+               cmd.usage);
+}
+
+// The first option `cmd` does not read, or nullptr when all are known.
+const std::string* unknown_option(const Command& cmd, const std::vector<std::string>& names) {
+  for (const std::string& name : names) {
+    const auto known = [&](std::string_view o) { return o == name; };
+    if (std::ranges::none_of(kCommonOptions, known) && std::ranges::none_of(cmd.options, known))
+      return &name;
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
-  const util::ArgParser args(argc - 1, argv + 1);
+  const auto cmd_it = std::ranges::find_if(
+      commands(), [&](const Command& c) { return command == c.name; });
+  if (cmd_it == commands().end()) return usage();
+  const Command& cmd = *cmd_it;
+  std::optional<util::ArgParser> parsed;
+  try {
+    parsed.emplace(argc - 1, argv + 1);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "paragraph %s: %s\n", cmd.name, e.what());
+    print_usage(stderr, cmd);
+    return util::kExitUsage;
+  }
+  const util::ArgParser& args = *parsed;
+  // Strict options: a mistyped flag must not silently fall back to its
+  // default, and --help must not run the command.
+  const std::vector<std::string> names = args.names();
+  if (const std::string* bad = unknown_option(cmd, names)) {
+    std::fprintf(stderr, "paragraph %s: unknown option --%s\n", cmd.name, bad->c_str());
+    print_usage(stderr, cmd);
+    return util::kExitUsage;
+  }
+  if (args.has("help")) {
+    print_usage(stdout, cmd);
+    return 0;
+  }
   obs::init_from_env();
   util::fault::init_from_env();
   // Crash context costs nothing on the happy path: a fatal signal or
@@ -1048,18 +1160,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "paragraph %s: %s\n", command.c_str(), e.what());
     return util::kExitUsage;
   }
-  int rc = -1;
+  int rc = 0;
   try {
-    if (command == "generate") rc = cmd_generate(args);
-    else if (command == "train") rc = cmd_train(args);
-    else if (command == "predict") rc = cmd_predict(args);
-    else if (command == "evaluate") rc = cmd_evaluate(args);
-    else if (command == "report") rc = cmd_report(args);
-    else if (command == "annotate") rc = cmd_annotate(args);
-    else if (command == "dataset") rc = cmd_dataset(args);
-    else if (command == "serve") rc = cmd_serve(args);
-    else if (command == "client") rc = cmd_client(args);
-    else if (command == "top") rc = cmd_top(args);
+    rc = cmd.run(args);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "paragraph %s: %s\n", command.c_str(), e.what());
     // Flush whatever was collected before the failure; partial metrics and
@@ -1067,7 +1170,6 @@ int main(int argc, char** argv) {
     flush_observability(obs_out);
     return exit_code_for(e);
   }
-  if (rc < 0) return usage();
   flush_observability(obs_out);
   return rc;
 }
