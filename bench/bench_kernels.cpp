@@ -177,41 +177,8 @@ void BM_EdgeAttentionFused(benchmark::State& state) {
 }
 BENCHMARK(BM_EdgeAttentionFused)->Arg(1024)->Arg(16384);
 
-void BM_ParaGraphForwardBackward(benchmark::State& state) {
-  circuitgen::CircuitSpec spec;
-  spec.name = "bench";
-  spec.seed = 9;
-  spec.glue_gates = static_cast<int>(state.range(0));
-  spec.dffs = static_cast<int>(state.range(0) / 8);
-  spec.opamps = 2;
-  const auto nl = circuitgen::generate_circuit(spec);
-  const auto g = graph::build_graph(nl);
-  util::Rng rng(11);
-  auto model = gnn::make_model(gnn::ModelKind::kParaGraph, 32, 5, rng);
-  gnn::GraphBatch batch;
-  batch.graph = &g;
-  for (std::size_t t = 0; t < graph::kNumNodeTypes; ++t) {
-    const auto nt = static_cast<graph::NodeType>(t);
-    if (g.num_nodes(nt) == 0) continue;
-    batch.features[t] = nn::Tensor(g.features(nt));
-  }
-  const std::size_t n_nets = g.num_nodes(graph::NodeType::kNet);
-  const nn::Matrix target(n_nets, 1, 0.5f);
-  nn::Linear head(32, 1, rng);
-  for (auto _ : state) {
-    const auto emb = model->embed(batch);
-    nn::Tensor pred = head.forward(emb[static_cast<std::size_t>(graph::NodeType::kNet)]);
-    nn::Tensor loss = nn::mse_loss(pred, target);
-    loss.backward();
-    benchmark::DoNotOptimize(loss.item());
-  }
-  state.counters["nodes"] = static_cast<double>(g.total_nodes());
-  state.counters["edges"] = static_cast<double>(g.total_edges());
-}
-BENCHMARK(BM_ParaGraphForwardBackward)->Arg(40)->Arg(160)->Unit(benchmark::kMillisecond);
-
-// Same workload with the GraphPlan built once outside the loop, the way
-// the trainer runs: no per-forward plan construction or degree buffers.
+// ParaGraph forward + backward on a generated circuit, with the GraphPlan
+// built once outside the loop, the way the trainer runs.
 void BM_ParaGraphPlanned(benchmark::State& state) {
   circuitgen::CircuitSpec spec;
   spec.name = "bench";
@@ -225,7 +192,6 @@ void BM_ParaGraphPlanned(benchmark::State& state) {
   auto model = gnn::make_model(gnn::ModelKind::kParaGraph, 32, 5, rng);
   const gnn::GraphPlan plan = gnn::GraphPlan::build(g);
   gnn::GraphBatch batch;
-  batch.graph = &g;
   batch.plan = &plan;
   for (std::size_t t = 0; t < graph::kNumNodeTypes; ++t) {
     const auto nt = static_cast<graph::NodeType>(t);

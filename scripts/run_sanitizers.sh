@@ -40,7 +40,9 @@
 #                                          # taped byte-identity, tape-free
 #                                          # Matrix peak, plan-cache
 #                                          # equivalence, bitwise GEMM and
-#                                          # index-reading edge_attention)
+#                                          # index-reading edge_attention,
+#                                          # the GraphPlan builder and the
+#                                          # model zoo on it)
 #                                          # under all three sanitizers:
 #                                          # tape-free forwards free
 #                                          # intermediates mid-forward and

@@ -1,5 +1,6 @@
 #include "core/ensemble.h"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
@@ -55,11 +56,12 @@ void CapEnsemble::train(const SuiteDataset& ds) {
 
 std::vector<float> CapEnsemble::predict(const Sample& sample, const PredictOptions& opts,
                                         MemberAttribution* attribution) const {
-  // All members share a model kind, so one plan serves every member.
+  // One plan serves every member; a member that needs the homogenised
+  // view a caller's plan lacks builds its own (GnnPredictor::infer).
   PredictOptions member_opts = opts;
   gnn::GraphPlan shared;
   if (opts.plan == nullptr && opts.cache == nullptr) {
-    shared = gnn::GraphPlan::build(sample.graph, models_[0]->needs_homo());
+    shared = gnn::GraphPlan::build(sample.graph, needs_homo());
     member_opts.plan = &shared;
   }
   PARAGRAPH_TIMED_SCOPE("ensemble_combine");
@@ -89,6 +91,10 @@ std::vector<float> CapEnsemble::predict(const Sample& sample, const PredictOptio
     }
   }
   return p;
+}
+
+bool CapEnsemble::needs_homo() const {
+  return std::ranges::any_of(models_, [](const auto& m) { return m->needs_homo(); });
 }
 
 void CapEnsemble::save(const std::string& path) const {

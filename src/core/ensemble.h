@@ -49,7 +49,8 @@ class CapEnsemble {
   // a plain loop of GnnPredictor::predict_all over the members. Each member
   // applies its own normaliser (members may differ). `opts` is handed to
   // every member; when it names neither a plan nor a cache, one plan is
-  // built and shared across the members. `attribution`, when non-null,
+  // built (with the homogenised view when any member needs_homo()) and
+  // shared across the members. `attribution`, when non-null,
   // receives the Algorithm 2 winner per net and the adjacent-member
   // boundary statistics.
   std::vector<float> predict(const dataset::Sample& sample, const PredictOptions& opts = {},
@@ -74,6 +75,9 @@ class CapEnsemble {
 
   std::size_t num_models() const { return models_.size(); }
   const GnnPredictor& model(std::size_t i) const { return *models_.at(i); }
+  // True when any member needs the homogenised view, so one GraphPlan
+  // built with it fits every member.
+  bool needs_homo() const;
   const std::vector<double>& max_vs_ff() const { return config_.max_vs_ff; }
 
   // Persists the ensemble: each member model goes to `path`.m<i> (model

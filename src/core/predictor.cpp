@@ -146,19 +146,11 @@ GnnPredictor::GnnPredictor(const PredictorConfig& config)
   if (config.target == TargetKind::kCap) scaler_ = TargetScaler::for_cap(config.max_v_ff);
 }
 
-bool GnnPredictor::needs_homo() const {
-  switch (config_.model) {
-    case gnn::ModelKind::kGcn:
-    case gnn::ModelKind::kGraphSage:
-    case gnn::ModelKind::kGat: return true;
-    default: return false;
-  }
-}
+bool GnnPredictor::needs_homo() const { return embedding_->homogeneous(); }
 
 GraphBatch GnnPredictor::make_batch(const graph::HeteroGraph& g,
                                     const gnn::GraphPlan* plan) const {
   GraphBatch b;
-  b.graph = &g;
   b.plan = plan;
   for (std::size_t t = 0; t < graph::kNumNodeTypes; ++t) {
     const auto nt = static_cast<NodeType>(t);
@@ -169,9 +161,8 @@ GraphBatch GnnPredictor::make_batch(const graph::HeteroGraph& g,
 }
 
 struct GnnPredictor::Prepared {
-  std::shared_ptr<const Sample> sample;  // backs the batch's graph
   std::unique_ptr<gnn::GraphPlan> plan;
-  GraphBatch batch;                  // points into the sample's graph
+  GraphBatch batch;                  // points at the plan
   std::vector<nn::IndexHandle> idx;  // per type slot, in-range node ids
   std::vector<Matrix> target;        // per type slot, scaled targets
 };
@@ -189,12 +180,12 @@ class GnnPredictor::PreparedLru {
 
   std::size_t size() const { return eligible_.size(); }
 
-  void add(std::size_t source_index, std::shared_ptr<const Sample> s) {
+  void add(std::size_t source_index, const Sample& s) {
     eligible_.push_back(source_index);
     if (!filling_) return;
-    const std::size_t bytes = dataset::ShardStore::sample_bytes(*s) * 2;
+    const std::size_t bytes = dataset::ShardStore::sample_bytes(s) * 2;
     filling_ = bytes <= budget_ - bytes_;
-    if (filling_) prepare(eligible_.size() - 1, std::move(s), bytes);
+    if (filling_) prepare(eligible_.size() - 1, s, bytes);
   }
 
   std::shared_ptr<const Prepared> get(std::size_t k) {
@@ -202,9 +193,9 @@ class GnnPredictor::PreparedLru {
       it->second.tick = ++tick_;
       return it->second.p;
     }
-    std::shared_ptr<const Sample> s = fetch_(eligible_[k]);
+    const std::shared_ptr<const Sample> s = fetch_(eligible_[k]);
     const std::size_t bytes = dataset::ShardStore::sample_bytes(*s) * 2;
-    return prepare(k, std::move(s), bytes);
+    return prepare(k, *s, bytes);
   }
 
  private:
@@ -216,16 +207,14 @@ class GnnPredictor::PreparedLru {
 
   // Builds entry k: plan, normalised batch, per-slot in-range indices and
   // scaled targets.
-  std::shared_ptr<const Prepared> prepare(std::size_t k, std::shared_ptr<const Sample> s,
-                                          std::size_t bytes) {
+  std::shared_ptr<const Prepared> prepare(std::size_t k, const Sample& s, std::size_t bytes) {
     const auto& types = dataset::target_node_types(owner_.config_.target);
     auto p = std::make_shared<Prepared>();
-    p->sample = std::move(s);
-    const graph::HeteroGraph& g = p->sample->graph;
+    const graph::HeteroGraph& g = s.graph;
     p->plan = std::make_unique<gnn::GraphPlan>(gnn::GraphPlan::build(g, owner_.needs_homo()));
     p->batch = owner_.make_batch(g, p->plan.get());
     for (std::size_t slot = 0; slot < types.size(); ++slot) {
-      const auto& raw = p->sample->target_values(owner_.config_.target, slot);
+      const auto& raw = s.target_values(owner_.config_.target, slot);
       std::vector<std::int32_t> idx;
       std::vector<float> scaled;
       for (std::size_t i = 0; i < raw.size(); ++i) {
@@ -333,7 +322,7 @@ std::vector<double> GnnPredictor::train_from(std::size_t count, const SampleFetc
     // sample and reused by every epoch that finds them still resident.
     PARAGRAPH_TIMED_SCOPE("prepare");
     for (std::size_t i = 0; i < count; ++i)
-      if (std::shared_ptr<const Sample> s = fetch(i); eligible(*s)) samples.add(i, std::move(s));
+      if (const std::shared_ptr<const Sample> s = fetch(i); eligible(*s)) samples.add(i, *s);
   }
   return train_impl(samples, on_epoch, options);
 }
@@ -784,7 +773,7 @@ gnn::TypeTensors GnnPredictor::infer(const Sample& sample, const PredictOptions&
           model_key_ ^ (normalizer_.fingerprint() * 0x9e3779b97f4a7c15ULL), embed, &cached)) {
     for (std::size_t t = 0; t < graph::kNumNodeTypes; ++t)
       if (cached[t].rows() != 0) emb[t] = Tensor(std::move(cached[t]));
-  } else if (opts.plan != nullptr) {
+  } else if (opts.plan != nullptr && (opts.plan->has_homo() || !needs_homo())) {
     emb = embed(sample.graph, *opts.plan);
   } else {
     emb = embed(sample.graph, gnn::GraphPlan::build(sample.graph, needs_homo()));

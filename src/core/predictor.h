@@ -30,9 +30,9 @@ namespace paragraph::core {
 // same bytes whichever is used (gnn/plan_cache.h explains why for the
 // cache). `cache` is tried first: when it accepts the sample's hierarchy,
 // memoized per-template plans and interior embeddings are reused and the
-// model runs only on the reduced graph. Otherwise `plan` is used if set —
-// it must have been built with the model's needs_homo() — and otherwise
-// one plan is built for the call.
+// model runs only on the reduced graph. Otherwise `plan` is used if it fits
+// the model (built with the homogenised view, or the model does not need
+// one), and otherwise one plan is built for the call.
 struct PredictOptions {
   const gnn::GraphPlan* plan = nullptr;
   gnn::PlanCache* cache = nullptr;
@@ -231,8 +231,9 @@ class GnnPredictor {
   // so memoized embeddings keyed by it are never stale.
   std::uint64_t model_key() const { return model_key_; }
 
-  // True when this model's plans need the homogenised edge view; callers
-  // building shared GraphPlans pass this to gnn::GraphPlan::build.
+  // The embedding model's own homogeneous(): true when its plans need the
+  // homogenised view. Callers building shared GraphPlans pass this to
+  // gnn::GraphPlan::build.
   bool needs_homo() const;
 
   // Final-layer embeddings for one node type (e.g. for the t-SNE study).

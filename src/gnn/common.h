@@ -5,10 +5,8 @@
 // into the common embedding space (Algorithm 1, lines 1-2; the paper notes
 // the same transform had to be added to the naive baselines).
 //
-// The homogeneous baselines then ignore edge types: HomoView flattens the
-// typed node blocks into one global index space with a merged edge list
-// (plus a self-loop-augmented variant with GCN symmetric-normalisation
-// coefficients).
+// Graph structure reaches a model only through a GraphPlan (gnn/plan.h);
+// the homogeneous baselines run on the plan's type-blind HomoPlan view.
 #pragma once
 
 #include <array>
@@ -24,29 +22,6 @@
 namespace paragraph::gnn {
 
 using TypeTensors = std::array<nn::Tensor, graph::kNumNodeTypes>;
-
-// Flattened (type-blind) view of a HeteroGraph.
-struct HomoView {
-  std::size_t total_nodes = 0;
-  std::array<std::size_t, graph::kNumNodeTypes> type_offset{};
-  std::array<std::size_t, graph::kNumNodeTypes> type_count{};
-
-  // All edges, global indices, sorted by destination.
-  std::vector<std::int32_t> src;
-  std::vector<std::int32_t> dst;
-  nn::SegmentIndex dst_segments;
-  std::vector<float> inv_in_degree;  // per node; 0 for isolated nodes
-
-  // Self-loop-augmented edge list (sorted by destination, with segments)
-  // and GCN coefficients 1/sqrt(d_i d_j) on the augmented graph. Used by
-  // GCN (normalisation) and GAT (so attention can retain self features).
-  std::vector<std::int32_t> sl_src;
-  std::vector<std::int32_t> sl_dst;
-  nn::SegmentIndex sl_dst_segments;
-  std::vector<float> gcn_coeff;
-};
-
-HomoView build_homo_view(const graph::HeteroGraph& g);
 
 // Per-edge-type attention statistics recorded during a forward pass
 // (paper Section III: "Analyzing the learned attentional weights may also
@@ -66,13 +41,10 @@ struct AttentionRecord {
 class GraphPlan;  // gnn/plan.h
 
 // Everything a model needs for one circuit. Feature tensors are constant
-// leaves (already normalised). `plan` is the preferred way to supply graph
-// structure: built once per graph (gnn/plan.h) and reused across every
-// forward. When it is null the model builds a transient plan from `graph`
-// (and `homo`, for the homogeneous baselines) on each call.
+// leaves (already normalised). `plan` is required: built once per graph
+// (gnn/plan.h) and reused across every forward; the homogeneous baselines
+// need one built with the homogenised view.
 struct GraphBatch {
-  const graph::HeteroGraph* graph = nullptr;
-  const HomoView* homo = nullptr;
   const GraphPlan* plan = nullptr;
   TypeTensors features;
   // When set, attention-based models append per-layer statistics here.
@@ -95,12 +67,6 @@ class InputTransform : public nn::Module {
  private:
   std::vector<std::unique_ptr<nn::Linear>> per_type_;
 };
-
-// Concatenates per-type embeddings into the global (HomoView) row order.
-nn::Tensor flatten_types(const TypeTensors& typed, const HomoView& homo, std::size_t embed_dim);
-
-// Slices a global embedding matrix back into per-type blocks.
-TypeTensors split_types(const nn::Tensor& global, const HomoView& homo);
 
 // Per-node bitmask over edge_type_registry() indices: bit e is set when
 // node i of `type` is an endpoint of at least one edge of type e. Used by

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "circuitgen/generator.h"
+#include "gnn/plan.h"
 #include "nn/ops.h"
 
 namespace paragraph::gnn {
@@ -86,14 +87,13 @@ graph::HeteroGraph golden_graph() {
 
 GoldenResult run_golden_case(const GoldenCase& c) {
   const graph::HeteroGraph g = golden_graph();
-  const HomoView homo = build_homo_view(g);
+  const GraphPlan plan = GraphPlan::build(g, /*with_homo=*/true);
 
   util::Rng rng(c.model_seed);
   auto model = make_model(c.kind, c.embed_dim, c.num_layers, rng, c.num_heads);
 
   GraphBatch batch;
-  batch.graph = &g;
-  batch.homo = &homo;
+  batch.plan = &plan;
   for (std::size_t t = 0; t < graph::kNumNodeTypes; ++t) {
     const auto nt = static_cast<graph::NodeType>(t);
     if (g.num_nodes(nt) == 0) continue;

@@ -1,9 +1,7 @@
 #include "gnn/models.h"
 
 #include <algorithm>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -31,17 +29,6 @@ const char* model_kind_name(ModelKind k) {
 }
 
 namespace {
-
-// Stable per-layer phase names for the scoped timers (ScopedTimer keeps the
-// pointer alive past the scope). Interned on demand, so any depth works.
-const char* layer_scope_name(std::size_t l) {
-  static std::mutex mu;
-  static std::map<std::size_t, std::string> names;
-  const std::lock_guard<std::mutex> lock(mu);
-  auto it = names.find(l);
-  if (it == names.end()) it = names.emplace(l, "layer" + std::to_string(l)).first;
-  return it->second.c_str();
-}
 
 // A model is a compute space (flattened or typed), a layer policy, and a
 // timing-scope name. The MessagePassingLayer does the rest.
@@ -98,15 +85,16 @@ ModelSpec spec_for(ModelKind kind, std::size_t num_heads) {
 }
 
 // The one concrete model: L policy-configured MessagePassingLayers behind
-// the shared input transform, running on a GraphPlan (the batch's, or a
-// transient one built from the raw graph for plan-less callers).
+// the shared input transform, running on the batch's GraphPlan.
 class UnifiedModel final : public EmbeddingModel {
  public:
   UnifiedModel(ModelKind kind, std::size_t f, std::size_t l, util::Rng& rng,
                std::size_t num_heads)
       : EmbeddingModel(f, l), kind_(kind), spec_(spec_for(kind, num_heads)), input_(f, rng) {
-    for (std::size_t i = 0; i < l; ++i)
+    for (std::size_t i = 0; i < l; ++i) {
       layers_.push_back(std::make_unique<MessagePassingLayer>(f, spec_.policy, rng));
+      layer_scopes_.push_back("layer" + std::to_string(i));
+    }
     // Registration order defines the serialized parameter layout: layer
     // parameters first, input transform last, matching the legacy classes
     // (which registered their own parameters after the input child module).
@@ -115,31 +103,26 @@ class UnifiedModel final : public EmbeddingModel {
   }
 
   ModelKind kind() const override { return kind_; }
+  bool homogeneous() const override { return spec_.homogeneous; }
 
   TypeTensors embed(const GraphBatch& batch) const override {
-    if (spec_.homogeneous && batch.plan == nullptr && batch.homo == nullptr)
-      throw std::invalid_argument(std::string(model_kind_name(kind_)) + " needs a HomoView");
-    PARAGRAPH_TIMED_SCOPE(spec_.scope);
-    GraphPlan local;
     const GraphPlan* plan = batch.plan;
-    if (plan == nullptr) {
-      local = GraphPlan::build(*batch.graph, batch.homo);
-      plan = &local;
-    }
+    if (plan == nullptr || (spec_.homogeneous && !plan->has_homo()))
+      throw std::invalid_argument(std::string(model_kind_name(kind_)) + " needs a GraphPlan" +
+                                  (spec_.homogeneous ? " built with the homogenised view" : ""));
+    PARAGRAPH_TIMED_SCOPE(spec_.scope);
     if (spec_.homogeneous) {
-      if (!plan->has_homo())
-        throw std::invalid_argument(std::string(model_kind_name(kind_)) + " needs a HomoView");
       const HomoPlan& hp = plan->homo();
       Tensor h = flatten_types(input_.forward(batch), hp, embed_dim_);
       for (std::size_t l = 0; l < num_layers_; ++l) {
-        PARAGRAPH_TIMED_SCOPE(layer_scope_name(l));
+        PARAGRAPH_TIMED_SCOPE(layer_scopes_[l].c_str());
         h = layers_[l]->forward(h, hp);
       }
       return split_types(h, hp);
     }
     TypeTensors h = input_.forward(batch);
     for (std::size_t l = 0; l < num_layers_; ++l) {
-      PARAGRAPH_TIMED_SCOPE(layer_scope_name(l));
+      PARAGRAPH_TIMED_SCOPE(layer_scopes_[l].c_str());
       const AttentionProbe probe{batch.attention_out, l, num_layers_};
       h = layers_[l]->forward(h, *plan, probe);
     }
@@ -151,6 +134,9 @@ class UnifiedModel final : public EmbeddingModel {
   ModelSpec spec_;
   InputTransform input_;
   std::vector<std::unique_ptr<MessagePassingLayer>> layers_;
+  // Timing-scope names per layer. The profiler keeps the pointer only
+  // while the scope is open, and the model outlives every scope it opens.
+  std::vector<std::string> layer_scopes_;
 };
 
 }  // namespace

@@ -2,8 +2,8 @@
 // GraphSage, RGCN, GAT) and the paper's ParaGraph model (Algorithm 1),
 // plus ParaGraph ablation variants used by the component-ablation bench.
 //
-// Every model maps a GraphBatch (typed features + edges) to per-node-type
-// embeddings of dimension F after L message-passing layers. The node-type
+// Every model maps a GraphBatch (typed features + a GraphPlan) to
+// per-node-type embeddings of dimension F after L message-passing layers. The node-type
 // input transform (Algorithm 1 lines 1-2) is applied in all models, as the
 // paper did for the naive baselines.
 #pragma once
@@ -34,8 +34,13 @@ class EmbeddingModel : public nn::Module {
   EmbeddingModel(std::size_t embed_dim, std::size_t num_layers)
       : embed_dim_(embed_dim), num_layers_(num_layers) {}
 
+  // Throws std::invalid_argument when batch.plan is null, or when a
+  // homogeneous() model gets a plan without has_homo().
   virtual TypeTensors embed(const GraphBatch& batch) const = 0;
   virtual ModelKind kind() const = 0;
+  // True when the model runs on the plan's homogenised view, so its plans
+  // must come from GraphPlan::build(g, true).
+  virtual bool homogeneous() const = 0;
 
   std::size_t embed_dim() const { return embed_dim_; }
   std::size_t num_layers() const { return num_layers_; }

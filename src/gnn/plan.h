@@ -7,9 +7,10 @@
 // count, the CSR destination segments, the precomputed inverse in-degree
 // vector (previously recomputed inside the layer loop of RGCN/ParaGraph on
 // every forward), and the compact (distinct-rows) indices that let a layer
-// transform only the rows an edge type touches. When built
-// with a HomoView it additionally carries the flattened-graph buffers the
-// homogeneous baselines (GCN / GraphSage / GAT) run on.
+// transform only the rows an edge type touches. When built with the
+// homogenised view it additionally carries the flattened-graph buffers the
+// homogeneous baselines (GCN / GraphSage / GAT) run on. A plan is the only
+// graph structure a model sees.
 #pragma once
 
 #include <array>
@@ -46,18 +47,23 @@ struct EdgeTypePlan {
 };
 
 // Flattened-graph (type-blind) share of the plan, for the homogeneous
-// baselines. Buffer contents match gnn::HomoView exactly.
+// baselines: the typed node blocks in NodeType order form one global index
+// space, and every typed edge is merged into one list.
 struct HomoPlan {
   std::size_t total_nodes = 0;
   std::array<std::size_t, graph::kNumNodeTypes> type_offset{};
   std::array<std::size_t, graph::kNumNodeTypes> type_count{};
 
+  // All edges in global indices, sorted by destination (merge order kept
+  // within a destination), with one segment per node.
   nn::IndexHandle src, dst;
   nn::SegmentHandle dst_segments;
-  nn::CoeffHandle inv_in_degree;
+  nn::CoeffHandle inv_in_degree;  // per node; 0 for isolated nodes
 
-  // Self-loop-augmented edge list with GCN symmetric-normalisation
-  // coefficients (used by GCN and GAT).
+  // Self-loop-augmented edge list, destination-sorted with segments (each
+  // node's self loop last in its segment), and GCN coefficients
+  // 1/sqrt(d_i d_j) on the augmented graph. Used by GCN (normalisation) and
+  // GAT (so attention can retain self features).
   nn::IndexHandle sl_src, sl_dst;
   nn::SegmentHandle sl_dst_segments;
   nn::CoeffHandle gcn_coeff;
@@ -71,12 +77,8 @@ class GraphPlan {
  public:
   GraphPlan() = default;
 
-  // Builds the typed-edge plan; when `with_homo` is set the HomoView is
-  // built internally and folded in.
+  // Builds the typed-edge plan, plus the HomoPlan when `with_homo` is set.
   static GraphPlan build(const graph::HeteroGraph& g, bool with_homo = false);
-  // As above but wrapping an existing HomoView (copied into shared
-  // buffers once).
-  static GraphPlan build(const graph::HeteroGraph& g, const HomoView* homo);
 
   const std::vector<EdgeTypePlan>& edge_types() const { return edge_types_; }
   std::size_t num_nodes(std::size_t node_type) const { return num_nodes_[node_type]; }
@@ -90,9 +92,10 @@ class GraphPlan {
   std::shared_ptr<const HomoPlan> homo_;
 };
 
-// Plan-based variants of gnn::flatten_types / split_types: identical
-// semantics, but row slicing reuses the plan's shared index buffers.
+// Concatenates per-type embeddings into the HomoPlan's global row order.
 nn::Tensor flatten_types(const TypeTensors& typed, const HomoPlan& homo, std::size_t embed_dim);
+
+// Slices a global embedding matrix back into per-type blocks.
 TypeTensors split_types(const nn::Tensor& global, const HomoPlan& homo);
 
 }  // namespace paragraph::gnn

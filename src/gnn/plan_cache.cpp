@@ -98,11 +98,10 @@ PlanCache::Entry* PlanCache::find_or_build(const Netlist& nl, const HeteroGraph&
   auto it = entries_.find(inst.ref.structural_hash);
   if (it != entries_.end()) {
     Entry& e = *it->second;
-    if (with_homo && !e.with_homo) {
+    if (with_homo && !e.plan.has_homo()) {
       // A homo-needing model joined later: upgrade the plan in place (the
       // typed part is unchanged, so existing embeddings stay valid).
       e.plan = GraphPlan::build(e.rep.graph, true);
-      e.with_homo = true;
     }
     return &e;
   }
@@ -110,7 +109,6 @@ PlanCache::Entry* PlanCache::find_or_build(const Netlist& nl, const HeteroGraph&
   const FullIndex fx = build_full_index(g, nl);
   auto entry = std::make_unique<Entry>();
   entry->hash = inst.ref.structural_hash;
-  entry->with_homo = with_homo;
 
   // Keep mask: subtree devices, created non-supply nets, and the distinct
   // non-supply boundary nets. Boundary nets are materialised before the

@@ -73,7 +73,10 @@ class PlanCache {
 
   // Per-node-type embedding values for every node of `g`, bit-identical to
   // running `embed` on the full graph. `nl` must be the netlist `g` was
-  // built from; `num_layers` the model's message-passing depth; `model_key`
+  // built from; `num_layers` the model's message-passing depth; `with_homo`
+  // the model's needs_homo(), so every plan handed to `embed` carries the
+  // homogenised view when it is set (a template planned without it is
+  // upgraded in place, and GraphPlan::has_homo() records which); `model_key`
   // a value that changes whenever the model weights (or the feature
   // normalisation `embed` applies) change. Returns false — leaving `out`
   // untouched — when no instance qualifies for caching, in which case the
@@ -97,7 +100,6 @@ class PlanCache {
 
   struct Entry {
     std::uint64_t hash = 0;
-    bool with_homo = false;
     graph::Subgraph rep;  // subtree + boundary net nodes of the template
     GraphPlan plan;
     // Leading net-type locals of `rep` that are boundary nets (they precede

@@ -938,7 +938,7 @@ void Server::process_batch(std::vector<Job> batch) {
       } else {
         const auto plan_start = std::chrono::steady_clock::now();
         plan = gnn::GraphPlan::build(g.sample.graph, bundle->ensemble.has_value()
-                                                         ? bundle->ensemble->model(0).needs_homo()
+                                                         ? bundle->ensemble->needs_homo()
                                                          : bundle->models.front().needs_homo());
         g.plan_us = us_between(plan_start, std::chrono::steady_clock::now());
         opts.plan = &plan;
@@ -950,14 +950,9 @@ void Server::process_batch(std::vector<Job> batch) {
                                     bundle->ensemble->predict(g.sample, opts)));
       }
       for (const core::GnnPredictor& model : bundle->models) {
-        // The plan fits only models whose needs_homo() it was built with (a
-        // GAT-kind model throws on one without the homogenised view); any
-        // other model builds its own.
-        core::PredictOptions model_opts = opts;
-        if (model.needs_homo() != plan.has_homo()) model_opts.plan = nullptr;
         preds.set(dataset::target_name(model.config().target),
                   named_predictions(g.sample, model.config().target,
-                                    model.predict_all(g.sample, model_opts)));
+                                    model.predict_all(g.sample, opts)));
       }
       g.predictions = std::move(preds);
       g.ok = true;

@@ -1,17 +1,22 @@
 // Failure-mode suite driven by the deterministic fault-injection harness:
 // injection semantics, crash-safe atomic writes (an injected failure must
-// never damage the previous artifact), NaN guardrails in training, and
-// ensemble loads degrading gracefully around a corrupt member.
+// never damage the previous artifact), NaN guardrails in training,
+// ensemble loads degrading gracefully around a corrupt member, and loaded
+// ensembles whose members differ in model kind.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "circuit/spice_parser.h"
 #include "core/ensemble.h"
 #include "core/predictor.h"
 #include "core/serialize.h"
+#include "graph/hetero_graph.h"
 #include "util/atomic_file.h"
 #include "util/errors.h"
 #include "util/faultinject.h"
@@ -219,6 +224,48 @@ TEST_F(EnsembleLoadTest, AllMembersCorruptIsTypedError) {
   make_ensemble().save(path_);
   for (std::size_t i = 0; i < 3; ++i) corrupt_member(i);
   EXPECT_THROW(core::CapEnsemble::load(path_), util::CorruptArtifactError);
+}
+
+// Members of one manifest may differ in model kind. With a relational
+// member first and a homogeneous one after it, the shared plan must still
+// carry the homogenised view (or the GAT member must build its own).
+TEST_F(EnsembleLoadTest, MixedKindMembersPredictTheirCascade) {
+  dataset::Sample s;
+  s.netlist = circuit::parse_spice_string(R"(
+Mn1 out in mid vss nmos L=16n NFIN=2
+Mn2 mid in2 vss vss nmos L=16n NFIN=4
+Mp1 out in vdd vdd pmos L=16n NFIN=4
+R1 out o2 5k L=1u
+C1 o2 vss 2f
+)");
+  s.graph = graph::build_graph(s.netlist);
+  dataset::FeatureNormalizer normalizer;
+  normalizer.fit({&s.graph});
+  const std::pair<gnn::ModelKind, double> members[] = {{gnn::ModelKind::kParaGraph, 1.0},
+                                                       {gnn::ModelKind::kGat, 10.0}};
+  for (std::size_t i = 0; i < 2; ++i) {
+    core::PredictorConfig pc;
+    pc.model = members[i].first;
+    pc.max_v_ff = members[i].second;
+    pc.embed_dim = 4;
+    pc.num_layers = 1;
+    pc.seed = 5 + i;
+    core::GnnPredictor member(pc);
+    member.set_normalizer(normalizer);
+    core::save_predictor(member, path_ + ".m" + std::to_string(i));
+  }
+  util::write_file_atomic(path_, "paragraph-ensemble 1\nmembers 2\n");
+
+  const core::CapEnsemble loaded = core::CapEnsemble::load(path_);
+  ASSERT_EQ(loaded.num_models(), 2u);
+  EXPECT_FALSE(loaded.model(0).needs_homo());
+  EXPECT_TRUE(loaded.model(1).needs_homo());
+  std::vector<float> want = loaded.model(0).predict_all(s);
+  const std::vector<float> upper = loaded.model(1).predict_all(s);
+  ASSERT_EQ(want.size(), upper.size());
+  for (std::size_t n = 0; n < want.size(); ++n)
+    if (upper[n] > loaded.max_vs_ff()[0]) want[n] = upper[n];
+  EXPECT_EQ(loaded.predict(s), want);
 }
 
 TEST_F(EnsembleLoadTest, CorruptManifestIsTypedError) {

@@ -3,6 +3,7 @@
 
 #include "circuit/spice_parser.h"
 #include "gnn/models.h"
+#include "gnn/plan.h"
 #include "nn/optim.h"
 
 namespace paragraph::gnn {
@@ -21,10 +22,9 @@ C1 o2 vss 2f
 )"));
 }
 
-GraphBatch make_batch(const HeteroGraph& g, const HomoView* homo) {
+GraphBatch make_batch(const HeteroGraph& g, const GraphPlan& plan) {
   GraphBatch b;
-  b.graph = &g;
-  b.homo = homo;
+  b.plan = &plan;
   for (std::size_t t = 0; t < graph::kNumNodeTypes; ++t) {
     const auto nt = static_cast<NodeType>(t);
     if (g.num_nodes(nt) == 0) continue;
@@ -33,61 +33,82 @@ GraphBatch make_batch(const HeteroGraph& g, const HomoView* homo) {
   return b;
 }
 
-TEST(HomoView, OffsetsAndCounts) {
+TEST(HomoPlan, OffsetsAndCounts) {
   const HeteroGraph g = small_graph();
-  const HomoView v = build_homo_view(g);
+  const GraphPlan plan = GraphPlan::build(g, /*with_homo=*/true);
+  const HomoPlan& v = plan.homo();
   EXPECT_EQ(v.total_nodes, g.total_nodes());
   std::size_t sum = 0;
   for (std::size_t t = 0; t < graph::kNumNodeTypes; ++t) {
     EXPECT_EQ(v.type_count[t], g.num_nodes(static_cast<NodeType>(t)));
+    EXPECT_EQ(v.type_offset[t], sum);
+    // type_rows slices the type's block out of the global index space.
+    if (v.type_count[t] != 0) {
+      ASSERT_TRUE(v.type_rows[t] != nullptr);
+      ASSERT_EQ(v.type_rows[t]->size(), v.type_count[t]);
+      for (std::size_t i = 0; i < v.type_count[t]; ++i)
+        EXPECT_EQ((*v.type_rows[t])[i], static_cast<std::int32_t>(sum + i));
+    }
     sum += v.type_count[t];
   }
   EXPECT_EQ(sum, v.total_nodes);
-  EXPECT_EQ(v.src.size(), g.total_edges());
+  EXPECT_EQ(v.src->size(), g.total_edges());
+  EXPECT_EQ(v.inv_in_degree->size(), v.total_nodes);
 }
 
-TEST(HomoView, SelfLoopsPresent) {
+TEST(HomoPlan, SelfLoopsPresent) {
   const HeteroGraph g = small_graph();
-  const HomoView v = build_homo_view(g);
-  EXPECT_EQ(v.sl_src.size(), g.total_edges() + v.total_nodes);
+  const GraphPlan plan = GraphPlan::build(g, /*with_homo=*/true);
+  const HomoPlan& v = plan.homo();
+  EXPECT_EQ(v.sl_src->size(), g.total_edges() + v.total_nodes);
   // Every node has exactly one self loop.
   std::vector<int> self(v.total_nodes, 0);
-  for (std::size_t e = 0; e < v.sl_src.size(); ++e)
-    if (v.sl_src[e] == v.sl_dst[e]) ++self[static_cast<std::size_t>(v.sl_src[e])];
+  for (std::size_t e = 0; e < v.sl_src->size(); ++e)
+    if ((*v.sl_src)[e] == (*v.sl_dst)[e]) ++self[static_cast<std::size_t>((*v.sl_src)[e])];
   for (const int c : self) EXPECT_EQ(c, 1);
 }
 
-TEST(HomoView, GcnCoefficientsAreSymmetricNormalised) {
+TEST(HomoPlan, GcnCoefficientsAreSymmetricNormalised) {
   const HeteroGraph g = small_graph();
-  const HomoView v = build_homo_view(g);
+  const GraphPlan plan = GraphPlan::build(g, /*with_homo=*/true);
+  const HomoPlan& v = plan.homo();
   // deg(i) on the augmented graph = in-degree + 1; coefficient of the self
   // loop of an isolated node would be 1.
   std::vector<double> deg(v.total_nodes, 1.0);
-  for (const auto d : v.dst) deg[static_cast<std::size_t>(d)] += 1.0;
-  for (std::size_t e = 0; e < v.sl_src.size(); ++e) {
-    const double expect = 1.0 / std::sqrt(deg[static_cast<std::size_t>(v.sl_src[e])] *
-                                          deg[static_cast<std::size_t>(v.sl_dst[e])]);
-    EXPECT_NEAR(v.gcn_coeff[e], expect, 1e-6);
+  for (const auto d : *v.dst) deg[static_cast<std::size_t>(d)] += 1.0;
+  ASSERT_EQ(v.gcn_coeff->size(), v.sl_src->size());
+  for (std::size_t e = 0; e < v.sl_src->size(); ++e) {
+    const double expect = 1.0 / std::sqrt(deg[static_cast<std::size_t>((*v.sl_src)[e])] *
+                                          deg[static_cast<std::size_t>((*v.sl_dst)[e])]);
+    EXPECT_NEAR((*v.gcn_coeff)[e], expect, 1e-6);
   }
 }
 
-TEST(HomoView, DstSortedWithSegments) {
+TEST(HomoPlan, DstSortedWithSegments) {
   const HeteroGraph g = small_graph();
-  const HomoView v = build_homo_view(g);
-  for (std::size_t e = 1; e < v.dst.size(); ++e) EXPECT_LE(v.dst[e - 1], v.dst[e]);
-  EXPECT_EQ(v.dst_segments.num_segments(), v.total_nodes);
-  EXPECT_EQ(v.dst_segments.num_elements(), v.dst.size());
-  EXPECT_EQ(v.sl_dst_segments.num_elements(), v.sl_dst.size());
+  const GraphPlan plan = GraphPlan::build(g, /*with_homo=*/true);
+  const HomoPlan& v = plan.homo();
+  for (std::size_t e = 1; e < v.dst->size(); ++e) EXPECT_LE((*v.dst)[e - 1], (*v.dst)[e]);
+  for (std::size_t e = 1; e < v.sl_dst->size(); ++e)
+    EXPECT_LE((*v.sl_dst)[e - 1], (*v.sl_dst)[e]);
+  EXPECT_EQ(v.dst_segments->num_segments(), v.total_nodes);
+  EXPECT_EQ(v.dst_segments->num_elements(), v.dst->size());
+  EXPECT_EQ(v.sl_dst_segments->num_segments(), v.total_nodes);
+  EXPECT_EQ(v.sl_dst_segments->num_elements(), v.sl_dst->size());
+  // Segment i holds exactly the edges into node i.
+  for (std::size_t i = 0; i < v.total_nodes; ++i)
+    for (auto k = v.dst_segments->offsets[i]; k < v.dst_segments->offsets[i + 1]; ++k)
+      EXPECT_EQ((*v.dst)[static_cast<std::size_t>(k)], static_cast<std::int32_t>(i));
 }
 
 class ModelKindTest : public ::testing::TestWithParam<ModelKind> {};
 
 TEST_P(ModelKindTest, EmbedShapes) {
   const HeteroGraph g = small_graph();
-  const HomoView v = build_homo_view(g);
+  const GraphPlan plan = GraphPlan::build(g, /*with_homo=*/true);
   util::Rng rng(3);
   auto model = make_model(GetParam(), 16, 2, rng);
-  const GraphBatch batch = make_batch(g, &v);
+  const GraphBatch batch = make_batch(g, plan);
   const TypeTensors emb = model->embed(batch);
   for (std::size_t t = 0; t < graph::kNumNodeTypes; ++t) {
     const auto nt = static_cast<NodeType>(t);
@@ -101,11 +122,11 @@ TEST_P(ModelKindTest, EmbedShapes) {
 
 TEST_P(ModelKindTest, DeterministicGivenSeed) {
   const HeteroGraph g = small_graph();
-  const HomoView v = build_homo_view(g);
+  const GraphPlan plan = GraphPlan::build(g, /*with_homo=*/true);
   auto run = [&](std::uint64_t seed) {
     util::Rng rng(seed);
     auto model = make_model(GetParam(), 8, 2, rng);
-    const TypeTensors emb = model->embed(make_batch(g, &v));
+    const TypeTensors emb = model->embed(make_batch(g, plan));
     return emb[static_cast<std::size_t>(NodeType::kNet)].value()(0, 0);
   };
   EXPECT_FLOAT_EQ(run(5), run(5));
@@ -115,7 +136,7 @@ TEST_P(ModelKindTest, DeterministicGivenSeed) {
 TEST_P(ModelKindTest, CanOverfitTinyRegression) {
   // One training signal: predict (normalised) fanout-like value on nets.
   const HeteroGraph g = small_graph();
-  const HomoView v = build_homo_view(g);
+  const GraphPlan plan = GraphPlan::build(g, /*with_homo=*/true);
   util::Rng rng(7);
   auto model = make_model(GetParam(), 8, 2, rng);
   nn::Linear head(8, 1, rng);
@@ -131,7 +152,7 @@ TEST_P(ModelKindTest, CanOverfitTinyRegression) {
 
   float first = 0.0f, last = 0.0f;
   for (int it = 0; it < 150; ++it) {
-    const GraphBatch batch = make_batch(g, &v);
+    const GraphBatch batch = make_batch(g, plan);
     const TypeTensors emb = model->embed(batch);
     nn::Tensor pred = head.forward(emb[static_cast<std::size_t>(NodeType::kNet)]);
     nn::Tensor loss = nn::mse_loss(pred, target);
@@ -158,22 +179,38 @@ INSTANTIATE_TEST_SUITE_P(AllModels, ModelKindTest,
                            return name;
                          });
 
-TEST(Models, HomogeneousModelsRequireHomoView) {
+TEST(Models, HomogeneousModelsRequireHomoPlan) {
   const HeteroGraph g = small_graph();
+  const GraphPlan typed_only = GraphPlan::build(g);
   util::Rng rng(1);
   for (const auto kind : {ModelKind::kGcn, ModelKind::kGraphSage, ModelKind::kGat}) {
     auto model = make_model(kind, 8, 1, rng);
-    const GraphBatch batch = make_batch(g, nullptr);
-    EXPECT_THROW(model->embed(batch), std::invalid_argument) << model_kind_name(kind);
+    EXPECT_TRUE(model->homogeneous()) << model_kind_name(kind);
+    EXPECT_THROW(model->embed(make_batch(g, typed_only)), std::invalid_argument)
+        << model_kind_name(kind);
   }
 }
 
-TEST(Models, RelationalModelsWorkWithoutHomoView) {
+TEST(Models, RelationalModelsRunOnTypedOnlyPlan) {
   const HeteroGraph g = small_graph();
+  const GraphPlan typed_only = GraphPlan::build(g);
   util::Rng rng(1);
   for (const auto kind : {ModelKind::kRgcn, ModelKind::kParaGraph}) {
     auto model = make_model(kind, 8, 1, rng);
-    EXPECT_NO_THROW(model->embed(make_batch(g, nullptr))) << model_kind_name(kind);
+    EXPECT_FALSE(model->homogeneous()) << model_kind_name(kind);
+    EXPECT_NO_THROW(model->embed(make_batch(g, typed_only))) << model_kind_name(kind);
+  }
+}
+
+TEST(Models, EveryModelRequiresAPlan) {
+  const HeteroGraph g = small_graph();
+  const GraphPlan plan = GraphPlan::build(g, /*with_homo=*/true);
+  util::Rng rng(1);
+  for (const auto kind : {ModelKind::kGcn, ModelKind::kParaGraph}) {
+    auto model = make_model(kind, 8, 1, rng);
+    GraphBatch batch = make_batch(g, plan);
+    batch.plan = nullptr;
+    EXPECT_THROW(model->embed(batch), std::invalid_argument) << model_kind_name(kind);
   }
 }
 
@@ -193,7 +230,8 @@ TEST(Models, MultiHeadParaGraphRunsAndGrows) {
   util::Rng rng2(2);
   auto four_heads = make_model(ModelKind::kParaGraph, 8, 2, rng2, 4);
   EXPECT_GT(four_heads->num_parameters(), one_head->num_parameters());
-  const GraphBatch batch = make_batch(g, nullptr);
+  const GraphPlan plan = GraphPlan::build(g);
+  const GraphBatch batch = make_batch(g, plan);
   const TypeTensors emb = four_heads->embed(batch);
   const auto& net_emb = emb[static_cast<std::size_t>(NodeType::kNet)];
   ASSERT_TRUE(net_emb.defined());
@@ -206,7 +244,8 @@ TEST(Models, AttentionProbeFillsRecord) {
   const HeteroGraph g = small_graph();
   util::Rng rng(4);
   auto model = make_model(ModelKind::kParaGraph, 8, 2, rng);
-  GraphBatch batch = make_batch(g, nullptr);
+  const GraphPlan plan = GraphPlan::build(g);
+  GraphBatch batch = make_batch(g, plan);
   AttentionRecord record;
   batch.attention_out = &record;
   model->embed(batch);

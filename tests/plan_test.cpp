@@ -1,7 +1,8 @@
 // GraphPlan: the once-per-graph compute plan behind the message-passing
-// engine. Structure checks, equivalence of planned vs plan-less forwards,
-// and the obs-counter regression test proving degree buffers are built at
-// plan time, never inside the per-forward layer loop.
+// engine and the only graph structure a model sees. Structure checks of the
+// typed part (gnn_test checks the HomoPlan), and the obs-counter regression
+// test proving degree buffers are built at plan time, never inside the
+// per-forward layer loop.
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -28,9 +29,9 @@ C1 o2 vss 2f
 )"));
 }
 
-GraphBatch make_batch(const HeteroGraph& g) {
+GraphBatch make_batch(const HeteroGraph& g, const GraphPlan& plan) {
   GraphBatch b;
-  b.graph = &g;
+  b.plan = &plan;
   for (std::size_t t = 0; t < graph::kNumNodeTypes; ++t) {
     const auto nt = static_cast<NodeType>(t);
     if (g.num_nodes(nt) == 0) continue;
@@ -67,70 +68,6 @@ TEST(GraphPlan, MirrorsTypedEdges) {
   EXPECT_EQ(planned_edges, g.total_edges());
 }
 
-TEST(GraphPlan, HomoPlanMatchesHomoView) {
-  const HeteroGraph g = small_graph();
-  const HomoView v = build_homo_view(g);
-  const GraphPlan plan = GraphPlan::build(g, &v);
-  ASSERT_TRUE(plan.has_homo());
-  const HomoPlan& hp = plan.homo();
-  EXPECT_EQ(hp.total_nodes, v.total_nodes);
-  EXPECT_EQ(*hp.src, v.src);
-  EXPECT_EQ(*hp.sl_dst, v.sl_dst);
-  EXPECT_EQ(hp.gcn_coeff->size(), v.gcn_coeff.size());
-  for (std::size_t t = 0; t < graph::kNumNodeTypes; ++t) {
-    if (hp.type_count[t] == 0) continue;
-    ASSERT_TRUE(hp.type_rows[t] != nullptr);
-    EXPECT_EQ(hp.type_rows[t]->size(), hp.type_count[t]);
-    EXPECT_EQ((*hp.type_rows[t])[0], static_cast<std::int32_t>(hp.type_offset[t]));
-  }
-  // The convenience overload builds the view internally.
-  const GraphPlan plan2 = GraphPlan::build(g, /*with_homo=*/true);
-  ASSERT_TRUE(plan2.has_homo());
-  EXPECT_EQ(*plan2.homo().sl_src, v.sl_src);
-}
-
-TEST(GraphPlan, PlannedForwardMatchesPlanless) {
-  const HeteroGraph g = small_graph();
-  const HomoView v = build_homo_view(g);
-  const GraphPlan plan = GraphPlan::build(g, &v);
-  for (const auto kind : {ModelKind::kGcn, ModelKind::kGraphSage, ModelKind::kGat,
-                          ModelKind::kRgcn, ModelKind::kParaGraph}) {
-    util::Rng rng(7);
-    auto model = make_model(kind, 8, 2, rng);
-
-    GraphBatch planless = make_batch(g);
-    planless.homo = &v;
-    const TypeTensors a = model->embed(planless);
-
-    GraphBatch planned = make_batch(g);
-    planned.plan = &plan;
-    const TypeTensors b = model->embed(planned);
-
-    for (std::size_t t = 0; t < graph::kNumNodeTypes; ++t) {
-      ASSERT_EQ(a[t].defined(), b[t].defined()) << model_kind_name(kind);
-      if (!a[t].defined()) continue;
-      ASSERT_EQ(a[t].rows(), b[t].rows());
-      for (std::size_t i = 0; i < a[t].value().size(); ++i)
-        EXPECT_FLOAT_EQ(a[t].value().data()[i], b[t].value().data()[i])
-            << model_kind_name(kind);
-    }
-  }
-}
-
-TEST(GraphPlan, HomogeneousModelsAcceptPlanInsteadOfHomoView) {
-  const HeteroGraph g = small_graph();
-  const GraphPlan plan = GraphPlan::build(g, /*with_homo=*/true);
-  util::Rng rng(3);
-  auto model = make_model(ModelKind::kGcn, 8, 1, rng);
-  GraphBatch batch = make_batch(g);
-  batch.plan = &plan;  // no batch.homo
-  EXPECT_NO_THROW(model->embed(batch));
-
-  const GraphPlan typed_only = GraphPlan::build(g);
-  batch.plan = &typed_only;
-  EXPECT_THROW(model->embed(batch), std::invalid_argument);
-}
-
 // Regression: the inverse-degree buffers RGCN/ParaGraph once rebuilt on
 // every forward are now built exactly once, at plan time. The obs counter
 // is incremented by the only code path that builds them.
@@ -147,8 +84,7 @@ TEST(GraphPlan, NoPerForwardDegreeBufferAllocation) {
   util::Rng rng(11);
   for (const auto kind : {ModelKind::kRgcn, ModelKind::kParaGraphNoAttention}) {
     auto model = make_model(kind, 8, 2, rng);
-    GraphBatch batch = make_batch(g);
-    batch.plan = &plan;
+    const GraphBatch batch = make_batch(g, plan);
     for (int i = 0; i < 3; ++i) model->embed(batch);
     EXPECT_EQ(builds.value(), after_build)
         << model_kind_name(kind) << " rebuilt degree buffers during forward";

@@ -47,7 +47,6 @@ class TapedReference {
   gnn::TypeTensors embed(const dataset::Sample& s, const gnn::GraphPlan& plan,
                          gnn::AttentionRecord* attention = nullptr) const {
     gnn::GraphBatch b;
-    b.graph = &s.graph;
     b.plan = &plan;
     b.attention_out = attention;
     for (std::size_t t = 0; t < graph::kNumNodeTypes; ++t) {
